@@ -11,16 +11,16 @@ lexicographically via nested sublevel-constrained stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import as_matrix, spectrum_blocks, svd
+from .core import as_matrix, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, norm
 from .solvers import (Objective, coeffs_of_x, grid_refine, multistart_minimize,
-                      polish, polyak_descent, real_dim, x_of_coeffs)
+                      polish, polyak_descent, x_of_coeffs)
 from .subdiff import canonical_extreme, descriptor, pairing_range_parts, sample_extreme
 
 

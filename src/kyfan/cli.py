@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .approx import best_approx, certify_best, strict_spectral
-from .core import MatrixSubspace, as_matrix
+from .core import MatrixSubspace
 from .errors import InvalidInputError, IoError, ParseError, UnsupportedError
 from .lab import convergence_checks, counterexample_run, default_p_grid, emit_csv, p_sweep
 from .norms import NormSpec, dual_norm, norm
@@ -55,8 +55,21 @@ def parse_matrix_obj(obj, where):
     data is row-major and may be a flat list of reals, a flat list of
     [re, im] pairs, or a nested list of rows whose cells are reals or pairs.
     A flat reading is preferred when data length equals rows*cols, so a 2x2
-    nested [[1,2],[3,4]] is the real matrix, not two complex pairs.
+    nested [[1,2],[3,4]] is the real matrix, not two complex pairs.  Every
+    entry must be finite: NaN, Infinity and integers beyond the float range are
+    rejected.
     """
+    try:
+        out = _parse_entries(obj, where)
+    except OverflowError:  # an integer literal too large for a float
+        out = None
+    if out is None or not np.all(np.isfinite(out)):
+        raise ParseError("%s: entries must be finite (no NaN, Infinity or "
+                         "out-of-range integers)" % where)
+    return out
+
+
+def _parse_entries(obj, where):
     if not isinstance(obj, dict):
         raise ParseError("%s: matrix must be a JSON object" % where)
     for key in ("rows", "cols", "data"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, psd_power, svd
+from .core import as_matrix, svd
 from .errors import InvalidInputError
 
 # p beyond this behaves like the spectral norm in float64; callers get redirected
@@ -108,9 +108,15 @@ def norm_of_sigma(sigma, spec):
 # non-negative and non-increasing.  Entries past position k are free up to x_k,
 # so with w = (d_1, ..., d_{k-1}, sum_{i>=k} d_i) the problem becomes
 #     max <w, y>  over  y_1 >= ... >= y_k >= 0,  sum y_i^p <= 1.
-# Solved numerically: projected ascent (isotonic + radial feasibility) from the
-# flat top-j vertices and the uniform vector, then an exact stationarity solve
-# on the active face the ascent found.
+# Closed form (Best & Chakravarti 1990): let PAV(w) be the projection of w onto
+# the non-increasing cone by pool-adjacent-violators, with blocks b and block
+# means m_b.  Projection onto a cone gives <w - PAV(w), y> <= 0 for every y in
+# it, so <w, y> <= <PAV(w), y> = sum_b m_b sum_{i in b} y_i, and Hoelder on the
+# blocks bounds that by (sum_b |b| m_b^q)^(1/q) with q = p/(p-1).  The bound is
+# attained by y constant on each block, y_b proportional to m_b^(q-1), which is
+# non-increasing because the m_b are; on such y, <w, y> = <PAV(w), y>.  The sum
+# is taken relative to the largest mean m_1 so that no power over- or
+# underflows; p = 1 (q = inf) leaves m_1 itself.
 # ---------------------------------------------------------------------------
 
 
@@ -127,88 +133,20 @@ def _pav_blocks(y):
     return [(lo, hi, v) for lo, hi, v in out]
 
 
-def _isotonic_desc(y):
-    # Euclidean projection onto the non-increasing non-negative cone
-    z = np.empty_like(np.asarray(y, dtype=float))
-    for lo, hi, v in _pav_blocks(y):
-        z[lo:hi] = v
-    return np.clip(z, 0.0, None)
-
-
-def _gauge(y, p):
-    y = np.clip(y, 0.0, None)
-    m = y.max() if y.size else 0.0
-    if m == 0:
-        return 0.0
-    return m * float(np.sum((y / m) ** p)) ** (1.0 / p)
-
-
-def _face_value(w, pattern, p):
-    # exact optimum over the face: y constant on each pattern block, 0 on the tail
-    q = p / (p - 1.0)
-    means = np.array([w[lo:hi].mean() for lo, hi in pattern])
-    if np.any(means < 0) or np.any(np.diff(means) > 1e-12):
-        return None
-    sizes = np.array([hi - lo for lo, hi in pattern], dtype=float)
-    val = float(np.sum(sizes * means ** q)) ** (1.0 / q)
-    return val
-
-
 def _dual_gauge(d, p, k):
     """psi*(d) for the kyfan(p,k) gauge; d non-increasing >= 0."""
     d = np.asarray(d, dtype=float)
-    n = d.size
-    k = min(k, n)
+    k = min(k, d.size)
     if not np.any(d > 0):
         return 0.0
     w = np.concatenate([d[:k - 1], [float(np.sum(d[k - 1:]))]])
-    # vertex values: flat top-j supports are exact and cover the p = 1 (LP) case
-    best = 0.0
-    for j in range(1, k + 1):
-        best = max(best, float(np.sum(w[:j])) / j ** (1.0 / p))
+    blocks = _pav_blocks(w)
+    s = blocks[0][2]  # the largest block mean
     if p <= 1.0:
-        return best
-    # projected ascent: gradient step, isotonic restore, radial rescale
-    starts = [np.ones(k) / k ** (1.0 / p)]
-    for j in range(1, k + 1):
-        y0 = np.zeros(k)
-        y0[:j] = 1.0 / j ** (1.0 / p)
-        starts.append(y0)
-    best_y = None
-    for y in starts:
-        y = y.copy()
-        step = 1.0 / max(np.max(w), 1e-300)
-        for it in range(200):
-            y = _isotonic_desc(y + step * w)
-            g = _gauge(y, p)
-            if g > 0:
-                y = y / g
-            step *= 0.97
-        v = float(np.dot(w, y))
-        if v > best:
-            best, best_y = v, y
-    # exact stationarity solves on candidate active faces: the face the ascent
-    # detected, the pooled-violator partition of w, and the simple prefix faces
-    candidates = []
-    if best_y is not None:
-        y = best_y
-        pattern, lo = [], 0
-        for i in range(1, k + 1):
-            if i == k or abs(y[i] - y[i - 1]) > 1e-7 * max(y[0], 1e-300):
-                if y[lo] > 1e-9 * max(y[0], 1e-300):
-                    pattern.append((lo, i))
-                lo = i
-        if pattern:
-            candidates.append(pattern)
-    candidates.append([(lo, hi) for lo, hi, _ in _pav_blocks(w)])
-    for j in range(1, k + 1):
-        candidates.append([(0, j)])
-        candidates.append([(i, i + 1) for i in range(j)])
-    for pattern in candidates:
-        fv = _face_value(w, pattern, p)
-        if fv is not None:
-            best = max(best, fv)
-    return best
+        return float(s)
+    q = p / (p - 1.0)
+    total = sum((hi - lo) * (m / s) ** q for lo, hi, m in blocks)
+    return float(s * total ** (1.0 / q))
 
 
 def dual_norm(g, spec):

@@ -26,19 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import MatrixSubspace, as_matrix
 from .errors import InvalidInputError
 from .norms import NormSpec, dual_norm, norm
-from .subdiff import (
-    canonical_extreme,
-    descriptor,
-    eigenspace_bases,
-    pairing_range_parts,
-    sample_extreme,
-    top_eigsum,
-)
+from .subdiff import descriptor, pairing_range_parts, top_eigsum
 
 
 @dataclass
@@ -46,11 +38,11 @@ class InnerRange:
     """The scalar set T = {tr(G* B)} over extreme subgradients at A."""
 
     fixed_part: complex
-    freedom_samples: list
     min_abs: float
     max_abs: float
     singleton: bool
-    ascent_spread: float = 0.0     # start-to-start spread of the modulus ascent
+    theta_min: float = 0.0     # where the support function h is smallest
+    theta_max: float = 0.0     # where h is largest
     desc: object = field(default=None, repr=False)
     mb: object = field(default=None, repr=False)
 
@@ -67,32 +59,38 @@ class InnerRange:
         return -self.support(np.pi), self.support(0.0)
 
 
-def _refine_extremum(fun, grid, idx, minimize_it):
-    # golden-section refinement around grid index idx (periodic grid)
-    n = len(grid)
-    lo = grid[(idx - 1) % n]
-    hi = grid[(idx + 1) % n]
-    if hi < lo:
-        hi += 2 * np.pi
+def _golden_min(fun, lo, hi, iters=60):
+    # golden-section search for the minimum of a unimodal fun on [lo, hi]
     phi = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
+    c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
     fc, fd = fun(c), fun(d)
-    for _ in range(60):
-        if (fc < fd) == minimize_it:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
+    for _ in range(iters):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - phi * (hi - lo)
             fc = fun(c)
         else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
+            lo, c, fc = c, d, fd
+            d = lo + phi * (hi - lo)
             fd = fun(d)
-    x = (a + b) / 2
+    x = (lo + hi) / 2
     return x, fun(x)
 
 
-def inner_range(a, b, p, k, samples=16, seed=0, tol=None):
-    """Compute T's geometry: fixed part, sampled values, min |t| and max |t|.
+def _refine_extremum(fun, grid, values, minimize_it):
+    # golden-section refinement over the two grid cells around the best grid
+    # value; keeps the grid point if refinement does not improve on it
+    sign = 1.0 if minimize_it else -1.0
+    idx = int(np.argmin(sign * values))
+    step = grid[1] - grid[0]
+    x, fx = _golden_min(lambda t: sign * fun(t), grid[idx] - step, grid[idx] + step)
+    if sign * values[idx] < fx:
+        return float(grid[idx]), float(values[idx])
+    return float(x), sign * fx
+
+
+def inner_range(a, b, p, k, tol=None):
+    """Compute T's geometry: fixed part, min |t|, max |t| and the extreme directions.
 
     Values carry the 1/||A||^(p-1) normalization, i.e. they are pairings with
     dual-unit subgradients, so |t| <= ||B||_(p,k) always.
@@ -107,48 +105,21 @@ def inner_range(a, b, p, k, samples=16, seed=0, tol=None):
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
 
-    rng = np.random.default_rng(seed)
-    freedom = []
-    for _ in range(max(int(samples), 1)):
-        g = sample_extreme(desc, seed=int(rng.integers(0, 2 ** 31)))
-        freedom.append(complex(np.trace(g.conj().T @ b)))
-
-    rng_obj = InnerRange(fixed_part=fixed, freedom_samples=freedom,
-                         min_abs=0.0, max_abs=0.0, singleton=desc.singleton,
-                         desc=desc, mb=mb)
+    rng_obj = InnerRange(fixed_part=fixed, min_abs=abs(fixed), max_abs=abs(fixed),
+                         singleton=desc.singleton, theta_min=float(np.angle(-fixed)),
+                         theta_max=float(np.angle(fixed)), desc=desc, mb=mb)
     if mb is None:
-        rng_obj.min_abs = rng_obj.max_abs = abs(fixed)
         return rng_obj
 
+    # one support scan serves both extremes; T convex, so max |t| is the
+    # largest support value and dist(0, T) = max(0, -min h)
     h = rng_obj.support
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
     hv = np.array([h(t) for t in grid])
-    _, hmax = _refine_extremum(h, grid, int(np.argmax(hv)), minimize_it=False)
-    _, hmin = _refine_extremum(h, grid, int(np.argmin(hv)), minimize_it=True)
-    # T convex: max |t| is the largest support value; dist(0, T) = max(0, -min h)
-    rng_obj.max_abs = max(hmax, float(np.max(hv)))
-    rng_obj.min_abs = max(0.0, -min(hmin, float(np.min(hv))))
-
-    # seeded alternating phase/eigensum ascent for the modulus, kept as a
-    # convergence diagnostic against the support-function value
-    best_per_start = []
-    for s in range(max(4, min(samples, 12))):
-        theta = 2 * np.pi * s / max(4, min(samples, 12))
-        val = 0.0
-        for _ in range(40):
-            val = h(theta)
-            t_att = _attaining_value(rng_obj, theta)
-            if abs(t_att) == 0:
-                break
-            theta_new = np.angle(t_att)
-            if abs(np.exp(1j * theta_new) - np.exp(1j * theta)) < 1e-14:
-                theta = theta_new
-                break
-            theta = theta_new
-        best_per_start.append(abs(_attaining_value(rng_obj, theta)))
-    if best_per_start:
-        rng_obj.ascent_spread = float(np.max(best_per_start) - np.min(best_per_start))
-        rng_obj.max_abs = max(rng_obj.max_abs, float(np.max(best_per_start)))
+    rng_obj.theta_min, hmin = _refine_extremum(h, grid, hv, minimize_it=True)
+    rng_obj.theta_max, hmax = _refine_extremum(h, grid, hv, minimize_it=False)
+    rng_obj.min_abs = max(0.0, -hmin)
+    rng_obj.max_abs = hmax
     return rng_obj
 
 
@@ -239,8 +210,9 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     """Decide Birkhoff-James orthogonality of a to b in ||.||_(p,k).
 
     True iff min |t| over T is <= tol.  A true verdict carries a witness basis
-    of k orthonormal eigenvectors; a false one carries a refuting lambda with
-    ||a + lambda b|| < ||a|| found by local search.
+    of k orthonormal eigenvectors (seed drives its search); a false one carries
+    a refuting lambda with ||a + lambda b|| < ||a||: the minimizer along the ray
+    of steepest descent.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -248,34 +220,20 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     na = norm(a, spec)
     if na == 0.0:
         # the zero matrix is orthogonal to everything
-        triv = InnerRange(0.0, [], 0.0, 0.0, True)
+        triv = InnerRange(0.0, 0.0, 0.0, True)
         return BjResult(True, 0.0, None, 0.0, None, None, triv)
-    rng_obj = inner_range(a, b, p, k, seed=seed)
+    rng_obj = inner_range(a, b, p, k)
     if rng_obj.min_abs <= tol:
         basis, resid = _witness_basis(rng_obj, seed=seed)
         return BjResult(True, rng_obj.min_abs, basis, resid, None, None, rng_obj)
 
-    # refute: descend along the direction whose one-sided derivative is most negative
-    grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    hv = [rng_obj.support(t) for t in grid]
-    th_star, _ = _refine_extremum(rng_obj.support, grid, int(np.argmin(hv)), minimize_it=True)
-    direction = np.exp(-1j * th_star)
-    nb = norm(b, spec)
-    scales = np.geomspace(1e-6, 4.0 * max(na, 1e-300) / max(nb, 1e-300), 64)
-    vals = [norm(a + s * direction * b, spec) for s in scales]
-    s0 = scales[int(np.argmin(vals))]
-    lam0 = s0 * direction
-
-    def f(xy):
-        return norm(a + (xy[0] + 1j * xy[1]) * b, spec)
-
-    res = minimize(f, [lam0.real, lam0.imag], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-    lam = complex(res.x[0], res.x[1])
-    fl = f(res.x)
-    if fl >= min(vals):
-        lam, fl = lam0, min(vals)
-    return BjResult(False, rng_obj.min_abs, None, None, lam, float(fl), rng_obj)
+    # refute along e^{-i theta_min}: s -> ||a + s e^{-i theta_min} b|| is convex
+    # with slope -min_abs < 0 at s = 0 and exceeds ||a|| past 2||a||/||b||
+    direction = np.exp(-1j * rng_obj.theta_min)
+    s_star, _ = _golden_min(lambda s: norm(a + s * direction * b, spec),
+                            0.0, 2.0 * na / norm(b, spec))
+    lam = s_star * direction
+    return BjResult(False, rng_obj.min_abs, None, None, lam, norm(a + lam * b, spec), rng_obj)
 
 
 @dataclass
@@ -292,7 +250,8 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     """Approximate orthogonality: ||a+zb||^2 >= ||a||^2 - 2 eps ||a|| ||zb|| for all z.
 
     Scalars z range over the mode's field.  Characterized by min |t| <= eps||b||
-    (complex) or min |Re t| <= eps||b|| (real) over the scalar set T.
+    (complex) or min |Re t| <= eps||b|| (real) over the scalar set T.  The
+    decision is deterministic; seed is accepted for the shared check signature.
     """
     if not 0.0 <= eps < 1.0:
         raise InvalidInputError("eps must lie in [0, 1)")
@@ -300,9 +259,9 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
         raise InvalidInputError("mode must be 'complex' or 'real'")
     nb = norm(b, NormSpec.kyfan(p, k))
     if norm(a, NormSpec.kyfan(p, k)) == 0.0:
-        triv = InnerRange(0.0, [], 0.0, 0.0, True)
+        triv = InnerRange(0.0, 0.0, 0.0, True)
         return EpsBjResult(True, eps, mode, 0.0, eps * nb, triv)
-    rng_obj = inner_range(a, b, p, k, seed=seed)
+    rng_obj = inner_range(a, b, p, k)
     if mode == "complex":
         attained = rng_obj.min_abs
     else:
@@ -326,12 +285,13 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
 
     Holds iff max |t| over T reaches ||b||_(p,k).  With sigma_k(a) = 0 the
     scalar characterization is not established; the verdict is None then.
+    The decision is deterministic; seed is accepted for the shared check signature.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if norm(a, NormSpec.kyfan(p, k)) == 0.0 or norm(b, NormSpec.kyfan(p, k)) == 0.0:
         raise InvalidInputError("check_parallel needs nonzero a and b")
-    rng_obj = inner_range(a, b, p, k, seed=seed)
+    rng_obj = inner_range(a, b, p, k)
     nb = norm(b, NormSpec.kyfan(p, k))
     if rng_obj.desc.rank_deficient:
         return ParallelResult(None, None, rng_obj.max_abs, nb, True, None)
@@ -342,10 +302,7 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
         if rng_obj.mb is None:
             t_att = rng_obj.fixed_part
         else:
-            grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-            hv = [rng_obj.support(t) for t in grid]
-            th, _ = _refine_extremum(rng_obj.support, grid, int(np.argmax(hv)), minimize_it=False)
-            t_att = _attaining_value(rng_obj, th)
+            t_att = _attaining_value(rng_obj, rng_obj.theta_max)
         if abs(t_att) > 0:
             lam = complex(np.conj(t_att / abs(t_att)))
             spec = NormSpec.kyfan(p, k)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .norms import NormSpec, norm
+from .norms import norm
 from .subdiff import canonical_extreme, descriptor
 
 

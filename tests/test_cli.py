@@ -145,6 +145,22 @@ def test_parse_failures_exit_2(capsys, files):
         assert out == "", argv
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int1e400"])
+@pytest.mark.parametrize("command", [["norm"], ["dual"], ["ortho", "bj"]],
+                         ids=["norm", "dual", "ortho-bj"])
+def test_nonfinite_entries_exit_2(capsys, files, tmp_path, command, bad):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1, bad, 0, 1]}))
+    argv = command + ["--matrix", str(p), "--norm", "kyfan:p=2,k=1"]
+    if command == ["ortho", "bj"]:
+        argv += ["--other", files["eye2"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "finite" in err
+    assert out == ""
+
+
 def test_forced_nonconvergence_exits_3(capsys, files, tmp_path):
     # dim-3 subspace: no grid rescue, one iteration cannot converge
     basis = []
@@ -170,6 +186,20 @@ def test_dual_output(capsys, files):
     code, out, _ = run(capsys, "dual", "--matrix", files["eye2"], "--norm", "spectral")
     assert code == 0
     assert json.loads(out) == {"value": 2.0}
+
+
+def test_dual_of_huge_matrix_is_finite_json(capsys, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1e300, 0, 0, 5e299]}))
+
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    for spec in ("kyfan:p=1.5,k=2", "schatten:p=3"):
+        code, out, _ = run(capsys, "dual", "--matrix", str(p), "--norm", spec)
+        assert code == 0
+        value = json.loads(out, parse_constant=reject)["value"]
+        assert np.isfinite(value) and value > 1e300, spec
 
 
 def test_subdiff_payload_round_trips(capsys, files):

@@ -4,7 +4,7 @@ import pytest
 from kyfan.errors import InvalidInputError
 from kyfan.norms import NormSpec, dual_norm, norm, norm_of_sigma, variational_norm_check
 
-from conftest import dual_gauge_oracle, rand_complex
+from conftest import dual_gauge_oracle, rand_complex, rand_with_sigma
 
 
 def haar_unitary(rng, n):
@@ -147,13 +147,40 @@ def test_dual_matches_grid_oracle():
 
 
 def test_dual_matches_grid_oracle_random(rng):
-    for _ in range(12):
-        g = rand_complex(rng, 3, 3)
+    tied_or_deficient = ([2.0, 2.0, 1.0], [3.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                         [2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    mats = [rand_complex(rng, 3, 3) for _ in range(12)]
+    mats += [rand_with_sigma(rng, s) for s in tied_or_deficient]
+    for g in mats:
         d = np.linalg.svd(g, compute_uv=False)
         for p, k in ((2.0, 2), (3.0, 2), (4.0, 3), (2.5, 1)):
             got = dual_norm(g, NormSpec.kyfan(p, k))
             want = dual_gauge_oracle(d, p=p, k=k)
             assert abs(got - want) <= 2e-4 * (1 + want), (p, k, got, want)
+
+
+def test_dual_kyfan_k_norm_and_k1_identities(rng):
+    # kyfan(1,k) dual = max(d_1, sum d / k); kyfan(p,1) dual = sum d (trace norm)
+    for sigma in (None, [2.0, 2.0, 1.0, 0.0], [5.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]):
+        g = rand_complex(rng, 4, 4) if sigma is None else rand_with_sigma(rng, sigma)
+        d = np.linalg.svd(g, compute_uv=False)
+        for k in range(1, 5):
+            want = max(d[0], np.sum(d) / k)
+            got = dual_norm(g, NormSpec.kyfan(1, k))
+            assert abs(got - want) <= 1e-12 * want, (sigma, k, got, want)
+        for p in (1.0, 1.5, 2.0, 7.0, 30.0):
+            got = dual_norm(g, NormSpec.kyfan(p, 1))
+            assert abs(got - np.sum(d)) <= 1e-12 * np.sum(d), (sigma, p, got)
+
+
+def test_dual_norm_absolutely_homogeneous(rng):
+    g = rand_complex(rng, 4, 4)
+    for spec in (NormSpec.kyfan(1.5, 2), NormSpec.kyfan(3, 3), NormSpec.kyfan(1, 2),
+                 NormSpec.schatten(3), NormSpec.spectral()):
+        base = dual_norm(g, spec)
+        for c in (1e-200, 1e-8, 1.0, 1e8, 1e200):
+            got = dual_norm(c * np.exp(0.7j) * g, spec)
+            assert abs(got - c * base) <= 1e-12 * c * base, (spec, c, got)
 
 
 def test_dual_schatten_holder_conjugate(rng):

@@ -12,7 +12,7 @@ from kyfan.ortho import (
     subspace_certificate,
     verify_certificate,
 )
-from kyfan.subdiff import canonical_extreme, descriptor
+from kyfan.subdiff import canonical_extreme, descriptor, sample_extreme
 
 from conftest import lambda_min_norm, rand_complex
 
@@ -25,6 +25,11 @@ def test_inner_range_singletons():
     assert r.min_abs <= 1e-14 and r.max_abs <= 1e-14
     r = inner_range(np.diag([2.0, 1.0]), np.diag([0.0, 1.0]), p=2, k=1)
     assert r.singleton and r.max_abs <= 1e-14
+    # T = {1j}: h is largest at arg(1j) and smallest opposite it
+    r = inner_range(np.diag([2.0, 1.0]), np.diag([1j, 0.0]), p=2, k=1)
+    assert r.singleton and abs(r.fixed_part - 1j) <= 1e-14
+    assert abs(r.theta_max - np.pi / 2) <= 1e-14 and abs(r.theta_min + np.pi / 2) <= 1e-14
+    assert abs(r.support(r.theta_max) - 1.0) <= 1e-14 and abs(r.support(r.theta_min) + 1.0) <= 1e-14
 
 
 def test_inner_range_degenerate_interval():
@@ -35,6 +40,9 @@ def test_inner_range_degenerate_interval():
     assert abs(r.max_abs - 1.0) <= 1e-9
     lo, hi = r.real_interval()
     assert abs(lo + 1.0) <= 1e-9 and abs(hi - 1.0) <= 1e-9
+    # h(theta) = |cos theta|: largest at 0 or pi, smallest (0) at +-pi/2
+    assert abs(r.support(r.theta_max) - 1.0) <= 1e-12
+    assert abs(r.support(r.theta_min)) <= 1e-12
 
 
 def test_inner_range_bounded_by_b_norm(rng):
@@ -42,11 +50,13 @@ def test_inner_range_bounded_by_b_norm(rng):
         a = rand_complex(rng, 3, 3)
         b = rand_complex(rng, 3, 3)
         p, k = float(rng.choice([2.0, 3.0])), int(rng.integers(1, 4))
-        r = inner_range(a, b, p, k, seed=t)
+        r = inner_range(a, b, p, k)
         nb = norm(b, NormSpec.kyfan(p, k))
         assert r.max_abs <= nb + 1e-8 * (1 + nb)
         assert r.min_abs <= r.max_abs + 1e-12
-        for t_s in r.freedom_samples:
+        gs = sample_extreme(r.desc, seed=t, count=16)
+        for g in gs:
+            t_s = complex(np.trace(g.conj().T @ b))
             assert r.min_abs - 1e-9 <= abs(t_s) <= r.max_abs + 1e-9
 
 
@@ -87,8 +97,11 @@ def test_check_bj_matches_lambda_grid(rng):
             if 1e-7 * na < gap < 1e-5 * na:
                 continue  # tolerance-boundary case, regenerate
             want = gap <= 1e-7 * na
-            got = check_bj(a, b, p, k, seed=t).orthogonal
-            assert got == want, (t, p, k, gap)
+            res = check_bj(a, b, p, k, seed=t)
+            assert res.orthogonal == want, (t, p, k, gap)
+            if not res.orthogonal:
+                assert res.refuting_norm < na, (t, p, k)
+                assert res.refuting_norm == norm(a + res.refuting_lambda * b, spec)
             checked += 1
     assert checked >= 30
 
