@@ -22,9 +22,6 @@ from .core import (
     MatrixSubspace,
     SpectrumBlocks,
     SvdFactors,
-    herm_eig,
-    project_subspace,
-    psd_power,
     spectrum_blocks,
     svd,
 )
@@ -40,7 +37,7 @@ from .lab import (
     emit_csv,
     p_sweep,
 )
-from .norms import NormSpec, dual_norm, norm, variational_norm_check
+from .norms import NormSpec, dual_norm, norm
 from .ortho import (
     BjResult,
     DensityCertificate,
@@ -100,21 +97,17 @@ __all__ = [
     "dir_derivative",
     "dual_norm",
     "emit_csv",
-    "herm_eig",
     "inner_range",
     "lex_compare",
     "membership",
     "norm",
     "p_sweep",
     "pk_singular_value_check",
-    "project_subspace",
-    "psd_power",
     "sample_extreme",
     "spectrum_blocks",
     "strict_spectral",
     "subspace_certificate",
     "svd",
     "unique_1d_probe",
-    "variational_norm_check",
     "verify_certificate",
 ]

@@ -228,10 +228,10 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     endpoints = []
     for x0 in starts:
         if obj.smooth:
-            x1, _ = polyak_descent(obj.value, obj.subgrad, x0, iters=120)
+            x1, _ = polyak_descent(obj.value_and_grad, x0, iters=120)
         else:
             x1 = x0
-        x2, f2 = polish(obj.value, obj.subgrad if obj.smooth else None, x1)
+        x2, f2 = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1)
         endpoints.append((f2, x2))
     best = min(f for f, _ in endpoints)
     keep = [coeffs_of_x(xv, sub)[0] for f, xv in endpoints
@@ -251,37 +251,42 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
 # strict spectral approximation
 
 
-class _StageEval:
-    """Batched evaluation of all the partial-sum norms f_j = (sum_{i<=j} sigma_i^2)^(1/2)."""
+def _partial_sums(obj, x):
+    """f_j = (sum_{i<=j} sigma_i^2)^(1/2) of the residual at x (x may be a stack)."""
+    s = np.linalg.svd(obj.residual(x), compute_uv=False)
+    return np.sqrt(np.cumsum(s * s, axis=-1))
 
-    def __init__(self, a, subspace):
-        self.a = np.asarray(a, dtype=complex)
-        self.subspace = subspace
-        self.basis = np.stack(subspace.onb) if subspace.dim else None
-        self.n0 = min(a.shape)
-        self.objs = [Objective(a, subspace, NormSpec.kyfan(2, j))
-                     for j in range(1, self.n0 + 1)]
 
-    def sigma(self, x):
-        c = coeffs_of_x(x, self.subspace)
-        r = self.a if self.basis is None else self.a - np.tensordot(c, self.basis, axes=(0, 0))
-        return np.linalg.svd(r, compute_uv=False)
+def _penalty(obj, k, barr, mu):
+    """Exact penalty f_k + mu * sum_j max(0, f_j - barr_j) on the partial sums.
 
-    def f_all(self, x):
-        s = self.sigma(x)
-        return np.sqrt(np.cumsum(s * s))
+    Returns (value, value_and_grad, value_many).  value_and_grad works from one
+    SVD R = U diag(sigma) V*: the gradient of f_j is U_j diag(sigma_i/f_j) V_j*,
+    so sum_j w_j grad f_j = U diag(sigma_i sum_{j>=i} w_j/f_j) V* with w_k = 1
+    and w_j = mu on the violated earlier stages.
+    """
+    nb = len(barr)
 
-    def sigma_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.basis is None:
-            s = np.linalg.svd(self.a, compute_uv=False)
-            return np.tile(s, (xs.shape[0], 1))
-        if self.subspace.field == "complex":
-            cs = xs[:, 0::2] + 1j * xs[:, 1::2]
-        else:
-            cs = xs.astype(complex)
-        r = self.a[None, :, :] - np.tensordot(cs, self.basis, axes=(1, 0))
-        return np.linalg.svd(r, compute_uv=False)
+    def value_many(xs):
+        f = _partial_sums(obj, xs)
+        return f[..., k - 1] + mu * np.maximum(0.0, f[..., :nb] - barr).sum(axis=-1)
+
+    def value(x):
+        return float(value_many(x))
+
+    def value_and_grad(x):
+        u, s, vh = np.linalg.svd(obj.residual(x), full_matrices=False)
+        f = np.sqrt(np.cumsum(s * s))
+        val = float(f[k - 1] + mu * np.maximum(0.0, f[:nb] - barr).sum())
+        if s[0] == 0.0:
+            return val, np.zeros(x.size)
+        w = np.zeros(s.size)
+        w[:nb] = np.where(f[:nb] > barr, mu, 0.0)
+        w[k - 1] = 1.0
+        coef = s * np.cumsum((w / f)[::-1])[::-1]
+        return val, obj.pullback((u * coef) @ vh)
+
+    return value, value_and_grad, value_many
 
 
 @dataclass
@@ -327,13 +332,13 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
                                 % (a.shape, subspace.shape))
     if not subspace.dim:
         raise InvalidInputError("cannot approximate from an empty subspace")
-    ev = _StageEval(a, subspace)
-    n0 = ev.n0
+    obj = Objective(a, subspace, NormSpec.kyfan(2, 1))
+    n0 = min(a.shape)
     log = []
     bounds = []  # m_j + stage_tol per recorded stage
 
     # stage 1 is an unconstrained spectral-norm fit
-    out1 = multistart_minimize(ev.objs[0], starts=starts, iters=iters, seed=seed,
+    out1 = multistart_minimize(obj, starts=starts, iters=iters, seed=seed,
                                grid_dim_limit=grid_dim_limit)
     x_cur = out1.x
     m1 = out1.value
@@ -347,11 +352,11 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
 
     k = 2
     while k <= n0:
-        sig = ev.sigma(x_cur)
+        sig = np.linalg.svd(obj.residual(x_cur), compute_uv=False)
         blocks = spectrum_blocks(sig)
         if blocks.block_of(k) == blocks.block_of(k - 1):
             # inside the block opened at an earlier stage: constrained to equality
-            f_here = ev.f_all(x_cur)[k - 1]
+            f_here = np.sqrt(np.cumsum(sig * sig))[k - 1]
             values.append(f_here)
             bounds.append(f_here + stage_tol)
             log.append(StageInfo(k=k, value=float(f_here), skipped=True, feasible=True,
@@ -359,7 +364,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
             k += 1
             continue
 
-        x_cur, info = _solve_stage(ev, k, bounds, x_cur, starts=max(4, starts // 2),
+        x_cur, info = _solve_stage(obj, k, bounds, x_cur, starts=max(4, starts // 2),
                                    iters=iters, seed=seed + 101 * k,
                                    feas_slack=feas_slack, stage_tol=stage_tol,
                                    grid_dim_limit=grid_dim_limit)
@@ -371,7 +376,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
     if n0 > 1:
         # the sublevel relaxation lets the last stage drift up to stage_tol off
         # the earlier optima; pull the final point back onto them
-        x_cur = _tighten_final(ev, x_cur, values, stage_tol, grid_dim_limit)
+        x_cur = _tighten_final(obj, x_cur, values, stage_tol, grid_dim_limit)
 
     coeffs = coeffs_of_x(x_cur, subspace)
     y = subspace.combine(coeffs) if subspace.dim else np.zeros_like(a)
@@ -390,34 +395,10 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
         converged=not flags, flags=flags)
 
 
-def _solve_stage(ev, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_tol,
+def _solve_stage(obj, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_tol,
                  grid_dim_limit):
     """Penalized solve of stage k: f_k + mu * sum max(0, f_j - bound_j)."""
-    recorded = list(range(1, len(bounds) + 1))
     barr = np.asarray(bounds)
-
-    def make_pen(mu):
-        def value(x):
-            f = ev.f_all(x)
-            pen = np.maximum(0.0, f[: len(barr)] - barr).sum()
-            return float(f[k - 1] + mu * pen)
-
-        def grad(x):
-            f = ev.f_all(x)
-            g = ev.objs[k - 1].subgrad(x)
-            for j in recorded:
-                if f[j - 1] > barr[j - 1]:
-                    g = g + mu * ev.objs[j - 1].subgrad(x)
-            return g
-
-        def value_many(xs):
-            s = ev.sigma_many(xs)
-            cums = np.sqrt(np.cumsum(s * s, axis=1))
-            pen = np.maximum(0.0, cums[:, : len(barr)] - barr[None, :]).sum(axis=1)
-            return cums[:, k - 1] + mu * pen
-
-        return value, grad, value_many
-
     rng = np.random.default_rng(seed)
     d = x_warm.size
     scale = 1.0 + np.linalg.norm(x_warm)
@@ -426,28 +407,28 @@ def _solve_stage(ev, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_t
     rounds = 0
     for _ in range(3):
         rounds += 1
-        value, grad, value_many = make_pen(mu)
+        value, value_and_grad, value_many = _penalty(obj, k, barr, mu)
         cands = [best_x] + [best_x + scale * rng.standard_normal(d)
                             for _ in range(starts - 1)]
         finals = []
         for x0 in cands:
-            x1, _ = polyak_descent(value, grad, x0, iters=iters)
+            x1, _ = polyak_descent(value_and_grad, x0, iters=iters)
             finals.append((value(x1), x1))
         finals.sort(key=lambda t: t[0])
         fb, xb = finals[0]
-        if ev.subspace.dim and ev.subspace.dim <= grid_dim_limit:
+        if obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
             halfwidth = 2.0 * (1.0 + np.linalg.norm(xb))
             gx, gf = grid_refine(value_many, xb, halfwidth)
             if gf < fb:
                 fb, xb = gf, gx
-        xb, fb = polish(value, None, xb, smooth=False)
+        xb, fb = polish(value, None, xb)
         best_x = xb
-        f = ev.f_all(best_x)
+        f = _partial_sums(obj, best_x)
         viol = float(np.max(np.maximum(0.0, f[: len(barr)] - barr)))
         if viol <= feas_slack:
             break
         mu *= 10.0
-    f = ev.f_all(best_x)
+    f = _partial_sums(obj, best_x)
     viol = float(np.max(np.maximum(0.0, f[: len(barr)] - barr)))
     feasible = viol <= feas_slack
     active = int(np.sum(f[: len(barr)] >= barr - 2.0 * stage_tol))
@@ -456,35 +437,25 @@ def _solve_stage(ev, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_t
                              mu=mu, rounds=rounds, active=active)
 
 
-def _tighten_final(ev, x, values, stage_tol, grid_dim_limit):
+def _tighten_final(obj, x, values, stage_tol, grid_dim_limit):
     """Local re-solve of the last stage with near-equality stage bounds."""
-    n0 = ev.n0
+    n0 = len(values)
     vals = np.asarray(values)
     eps = 1e-10 * (1.0 + vals[0])
     barr = vals[:-1] + eps
-    mu = 1e6 * (1.0 + vals[0])
+    value, _, value_many = _penalty(obj, n0, barr, 1e6 * (1.0 + vals[0]))
 
     def tight_viol(z):
-        f = ev.f_all(z)
+        f = _partial_sums(obj, z)
         return float(np.max(np.maximum(0.0, f[: n0 - 1] - barr), initial=0.0))
 
-    def value(z):
-        f = ev.f_all(z)
-        return float(f[n0 - 1] + mu * np.maximum(0.0, f[: n0 - 1] - barr).sum())
-
-    def value_many(zs):
-        s = ev.sigma_many(zs)
-        cums = np.sqrt(np.cumsum(s * s, axis=1))
-        pen = np.maximum(0.0, cums[:, : n0 - 1] - barr[None, :]).sum(axis=1)
-        return cums[:, n0 - 1] + mu * pen
-
-    xb, _ = polish(value, None, x, smooth=False)
-    if ev.subspace.dim <= grid_dim_limit:
+    xb, _ = polish(value, None, x)
+    if obj.subspace.dim <= grid_dim_limit:
         hw = max(100.0 * stage_tol, 1e-6) * (1.0 + np.linalg.norm(xb))
         gx, gv = grid_refine(value_many, xb, hw, levels=10)
         if gv < value(xb):
             xb = gx
-        xb, _ = polish(value, None, xb, smooth=False)
+        xb, _ = polish(value, None, xb)
     return xb if tight_viol(xb) < tight_viol(x) else x
 
 

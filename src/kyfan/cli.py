@@ -2,13 +2,15 @@
 diagnostics on stderr.
 
 Exit codes: 0 success (verdicts like orthogonal=false are payload, not
-failures), 2 usage or parse errors, 3 solver non-convergence flags.
+failures), 2 usage or parse errors, 3 solver non-convergence flags or a
+failed factorization.  stdout is strict JSON: non-finite numbers print as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -191,8 +193,18 @@ def _coeff_list(c):
     return [float(v) for v in c]
 
 
+def _finite_or_null(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {key: _finite_or_null(x) for key, x in v.items()}
+    if isinstance(v, list):
+        return [_finite_or_null(x) for x in v]
+    return v
+
+
 def _emit(payload, args):
-    print(json.dumps(payload, indent=args.json_indent))
+    print(json.dumps(_finite_or_null(payload), indent=args.json_indent, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +559,9 @@ def main(argv=None):
     except (ParseError, InvalidInputError, UnsupportedError, IoError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        print("error: linear algebra failure: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Matrix primitives: SVD/eig wrappers, PSD powers, spectrum grouping, subspaces.
+"""Matrix primitives: the SVD wrapper, spectrum grouping, subspaces.
 
 Everything downstream (norms, subdifferentials, approximation) goes through
 these helpers so that clamping and multiplicity conventions live in one place.
@@ -7,12 +7,11 @@ Conventions:
   * complex128 matrices throughout; reals are accepted and widened
   * singular values are returned non-increasing
   * singular values below 1e-14 * sigma_1 are clamped to exactly 0
-  * H^0 for PSD H is the orthogonal projection onto range(H), not the identity
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +60,6 @@ class SvdFactors:
     sigma: np.ndarray   # n0, clamped
     right: np.ndarray   # n x n0
 
-    def reconstruct(self):
-        return (self.left * self.sigma) @ self.right.conj().T
-
 
 def svd(a):
     """Reduced SVD with non-increasing, clamped singular values.
@@ -76,57 +72,6 @@ def svd(a):
     s = _clamp_small(s, s[0] if s.size else 0.0)
     u, vh = _fix_phases(u, vh)
     return SvdFactors(left=u, sigma=s, right=vh.conj().T)
-
-
-def full_right_vectors(a):
-    """Full set of right singular vectors (n x n), including a null-space basis."""
-    a = as_matrix(a)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    n0 = min(a.shape)
-    s_full = np.zeros(a.shape[1])
-    s_full[:n0] = _clamp_small(s, s[0] if s.size else 0.0)
-    return s_full, vh.conj().T
-
-
-def herm_eig(h, tol=1e-10):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues non-increasing.
-
-    Rejects inputs whose anti-Hermitian part exceeds tol * scale.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise InvalidInputError("herm_eig needs a square matrix")
-    scale = max(np.max(np.abs(h)), 1e-300)
-    if np.max(np.abs(h - h.conj().T)) > tol * scale:
-        raise InvalidInputError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        z = v[i, j]
-        if abs(z) > 0:
-            v[:, j] = v[:, j] / (z / abs(z))
-    return w, v
-
-
-def psd_power(h, s, tol=1e-10):
-    """H^s for PSD Hermitian H, with H^0 = projection onto range(H).
-
-    Eigenvalues below CLAMP_REL * lambda_max are clamped to 0 before powering;
-    negative eigenvalues beyond -tol * scale raise InvalidInputError.
-    """
-    w, v = herm_eig(h, tol=tol)
-    scale = max(abs(w[0]) if w.size else 0.0, 1e-300)
-    if w.size and w[-1] < -tol * scale:
-        raise InvalidInputError("matrix is not PSD: min eigenvalue %g" % w[-1])
-    w = np.clip(w, 0.0, None)
-    w[w < CLAMP_REL * (w[0] if w.size else 0.0)] = 0.0
-    if s == 0:
-        pw = (w > 0).astype(float)
-    else:
-        pw = np.where(w > 0, w ** float(s), 0.0)
-    return (v * pw) @ v.conj().T
 
 
 @dataclass
@@ -262,8 +207,3 @@ class MatrixSubspace:
         """Return (onto, perp) with x = onto + perp, onto in the subspace."""
         onto = self.combine(self.coefficients(x))
         return onto, as_matrix(x) - onto
-
-
-def project_subspace(x, subspace):
-    """Split x into its component in `subspace` and the orthogonal remainder."""
-    return subspace.project(x)

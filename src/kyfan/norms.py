@@ -1,4 +1,4 @@
-"""Ky Fan p-k norms, their duals, and the variational cross-check.
+"""Ky Fan p-k norms and their duals.
 
 ||A||_(p,k) = (sigma_1^p + ... + sigma_k^p)^(1/p).  Special members:
 spectral = sigma_1, schatten(p) = kyfan(p, n0), trace = kyfan(1, n0).
@@ -158,39 +158,3 @@ def dual_norm(g, spec):
     if p is None:  # spectral: dual gauge of the sup gauge is the full sum
         return float(np.sum(d))
     return _dual_gauge(d, p, k)
-
-
-def variational_norm_check(a, p, k, trials=32, seed=0):
-    """max over sampled isometries U of (Re tr(U* (A*A)^(p/2) U))^(1/p).
-
-    The top-k right singular vectors are always included, so the returned
-    value matches ||A||_(p,k) up to eigensolver accuracy; random U give
-    strictly interior values.
-    """
-    a = as_matrix(a)
-    n0 = min(a.shape)
-    if not 1 <= k <= n0:
-        raise InvalidInputError("k out of range")
-    if not np.isfinite(p) or p < 1:
-        raise InvalidInputError("p must be finite and >= 1")
-    f = svd(a)
-    s1 = f.sigma[0]
-    if s1 == 0:
-        return 0.0
-    ratios = (f.sigma / s1) ** p
-    rng = np.random.default_rng(seed)
-    n = a.shape[1]
-
-    def value(u):
-        # tr(U* (A*A)^{p/2} U) = s1^p * sum_ij ratios_i |(Z* U)_ij|^2;
-        # null-space components of U contribute nothing
-        zu = f.right.conj().T @ u
-        t = float(np.sum(ratios[:, None] * np.abs(zu) ** 2))
-        return s1 * max(t, 0.0) ** (1.0 / p)
-
-    best = value(f.right[:, :k])
-    for _ in range(trials):
-        gmat = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        u, _ = np.linalg.qr(gmat)
-        best = max(best, value(u))
-    return best

@@ -1,10 +1,14 @@
 """Shared minimization machinery for the approximation routines.
 
 The objective c -> ||A - sum c_j E_j||_spec is convex on the real coordinate
-vector of c.  The workhorse is multi-start Polyak-step subgradient descent,
-followed by a smooth polish (BFGS with the exact gradient where the norm is
-differentiable, Nelder-Mead at kinks) and, for low-dimensional subspaces, a
-coarse-to-fine grid pass evaluated with batched SVDs.
+vector of c.  Each point costs one SVD of the residual R = U diag(sigma) V*:
+it gives the value and, for p >= 2, the closed-form extreme subgradient
+U_k diag((sigma_i/||R||)^(p-1)) V_k*, pulled back to the coordinates.  The
+workhorse is multi-start Polyak-step subgradient descent on that fused value
+and subgradient, followed by a smooth polish (BFGS with the exact gradient
+where the norm is differentiable, Nelder-Mead at kinks) and, for
+low-dimensional subspaces, a coarse-to-fine grid pass evaluated with batched
+SVDs.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .norms import norm
-from .subdiff import canonical_extreme, descriptor
+from .norms import norm, norm_of_sigma
 
 
 def real_dim(subspace):
@@ -25,7 +28,7 @@ def real_dim(subspace):
 def coeffs_of_x(x, subspace):
     x = np.asarray(x, dtype=float)
     if subspace.field == "complex":
-        return x[0::2] + 1j * x[1::2]
+        return x[..., 0::2] + 1j * x[..., 1::2]
     return x.copy()
 
 
@@ -40,71 +43,63 @@ def x_of_coeffs(c, subspace):
 
 
 class Objective:
-    """f(x) = ||A - combine(x)||_spec with batched evaluation and subgradients."""
+    """f(x) = ||A - combine(x)||_spec with batched evaluation and gradients."""
 
     def __init__(self, a, subspace, spec):
         self.a = np.asarray(a, dtype=complex)
         self.subspace = subspace
         self.spec = spec
         self.basis = np.stack(subspace.onb) if subspace.dim else np.zeros((0,) + a.shape)
-        n0 = min(a.shape)
-        self.p, self.k = spec.resolve(n0)
-        # p = None means the norm reduces to sigma_1, whose subdifferential is
-        # the (2, 1) family; descriptors need p >= 2 either way
-        self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
+        p, k = spec.resolve(min(a.shape))
+        # p = None means the norm reduces to sigma_1, whose extreme subgradients
+        # are those of the (2, 1) norm; the closed form below needs p >= 2
+        self.p_eff, self.k_eff = (2.0, 1) if p is None else (p, k)
         self.smooth = self.p_eff >= 2
 
     def residual(self, x):
+        """A - sum_j c_j E_j; x may carry leading stack axes."""
         c = coeffs_of_x(x, self.subspace)
-        if not self.subspace.dim:
-            return self.a.copy()
-        return self.a - np.tensordot(c, self.basis, axes=(0, 0))
+        return self.a - np.tensordot(c, self.basis, axes=(-1, 0))
 
     def value(self, x):
         return norm(self.residual(x), self.spec)
 
     def value_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if not self.subspace.dim:
-            return np.full(xs.shape[0], norm(self.a, self.spec))
-        if self.subspace.field == "complex":
-            cs = xs[:, 0::2] + 1j * xs[:, 1::2]
-        else:
-            cs = xs.astype(complex)
-        r = self.a[None, :, :] - np.tensordot(cs, self.basis, axes=(1, 0))
-        return norm(r, self.spec)
+        return norm(self.residual(xs), self.spec)
 
-    def subgrad(self, x):
-        """Pulled-back subgradient; exact gradient wherever the norm is smooth.
+    def pullback(self, g):
+        """Gradient in x of Re tr(G* R(x)): -Re tr(G* E_j), and Im for the imaginary parts."""
+        pair = np.tensordot(self.basis, g.conj(), axes=([1, 2], [0, 1]))
+        return x_of_coeffs(-pair.conj(), self.subspace)
 
-        Needs p >= 2 (the subdifferential descriptor); returns None otherwise.
+    def value_and_grad(self, x):
+        """f(x) and a pulled-back subgradient from one SVD of the residual.
+
+        The subgradient is the extreme point U_k diag((sigma_i/f)^(p-1)) V_k* of
+        the (p, k) norm, the exact gradient wherever the norm is smooth; 0 at a
+        zero residual and None for p < 2.
         """
+        u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
+        f = norm_of_sigma(s, self.spec)
         if not self.smooth:
-            return None
-        r = self.residual(x)
-        desc = descriptor(r, self.p_eff, self.k_eff)
-        if desc.at_zero:
-            return np.zeros(real_dim(self.subspace))
-        g = canonical_extreme(desc)
-        out = np.empty(real_dim(self.subspace))
-        for j, e in enumerate(self.subspace.onb):
-            pair = complex(np.trace(g.conj().T @ e))
-            if self.subspace.field == "complex":
-                out[2 * j] = -pair.real
-                out[2 * j + 1] = pair.imag
-            else:
-                out[j] = -pair.real
-        return out
+            return f, None
+        if f == 0.0:
+            return f, np.zeros(real_dim(self.subspace))
+        k = self.k_eff
+        g = (u[:, :k] * (s[:k] / f) ** (self.p_eff - 1.0)) @ vh[:k]
+        return f, self.pullback(g)
 
 
-def polyak_descent(fun, grad, x0, iters=150, f_target_slack=None):
-    """Subgradient descent with Polyak-style steps off the best value seen."""
+def polyak_descent(fg, x0, iters=150):
+    """Subgradient descent with Polyak-style steps off the best value seen.
+
+    fg(x) returns (value, subgradient or None).
+    """
     x = np.asarray(x0, dtype=float).copy()
-    fx = fun(x)
+    fx, g = fg(x)
     best_x, best_f = x.copy(), fx
-    slack = f_target_slack if f_target_slack is not None else 0.1 * (1.0 + abs(fx))
-    for t in range(iters):
-        g = grad(x)
+    slack = 0.1 * (1.0 + abs(fx))
+    for _ in range(iters):
         if g is None:
             break
         gn = float(np.dot(g, g))
@@ -112,22 +107,22 @@ def polyak_descent(fun, grad, x0, iters=150, f_target_slack=None):
             break
         step = (fx - best_f + slack) / gn
         x = x - step * g
-        fx = fun(x)
+        fx, g = fg(x)
         if fx < best_f:
             best_f, best_x = fx, x.copy()
         slack *= 0.93
     return best_x, best_f
 
 
-def polish(fun, grad, x0, smooth=True):
-    """Local refinement: BFGS on the smooth path plus a Nelder-Mead pass."""
+def polish(fun, fg, x0):
+    """Local refinement: BFGS on fg (value and gradient) when given, then Nelder-Mead on fun."""
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = fun(best_x)
     if best_x.size == 0:
         return best_x, best_f
-    if smooth and grad is not None:
+    if fg is not None:
         try:
-            res = minimize(fun, best_x, jac=grad, method="BFGS",
+            res = minimize(fg, best_x, jac=True, method="BFGS",
                            options={"gtol": 1e-12, "maxiter": 300})
             if res.fun < best_f:
                 best_x, best_f = np.asarray(res.x), float(res.fun)
@@ -141,14 +136,13 @@ def polish(fun, grad, x0, smooth=True):
     return best_x, best_f
 
 
-def grid_refine(fun_many, center, halfwidth, levels=None, pts=None):
+def grid_refine(fun_many, center, halfwidth, levels=None):
     """Coarse-to-fine box search; fun_many evaluates a stack of points."""
     center = np.asarray(center, dtype=float).copy()
     d = center.size
     if d == 0:
         return center, float(fun_many(center[None])[0])
-    if pts is None:
-        pts = 33 if d <= 2 else 9
+    pts = 33 if d <= 2 else 9
     if levels is None:
         levels = 14 if d <= 2 else 12
     h = float(halfwidth)
@@ -176,7 +170,6 @@ class MultiStartOutcome:
     iterations: int
     gap: float          # best vs worst start after local work
     converged: bool
-    per_start_x: list
 
 
 def default_starts(obj, starts, seed):
@@ -191,8 +184,8 @@ def default_starts(obj, starts, seed):
     return out[:max(2, starts)]
 
 
-def multistart_minimize(obj, starts=50, iters=150, seed=0, tol=1e-8,
-                        grid_dim_limit=2, extra_starts=()):
+def multistart_minimize(obj, starts=50, iters=150, seed=0, grid_dim_limit=2,
+                        extra_starts=()):
     """Full pipeline on an Objective; deterministic for fixed inputs."""
     xs = default_starts(obj, starts, seed)
     xs = list(xs) + [np.asarray(e, dtype=float) for e in extra_starts]
@@ -200,7 +193,7 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, tol=1e-8,
     finals = []
     for x0 in xs:
         if smooth:
-            x1, f1 = polyak_descent(obj.value, obj.subgrad, x0, iters=iters)
+            x1, f1 = polyak_descent(obj.value_and_grad, x0, iters=iters)
         else:
             x1, f1 = x0, obj.value(x0)
         finals.append((f1, x1))
@@ -208,7 +201,7 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, tol=1e-8,
     # polish the best starts; without subgradients the polish does all the work
     polished = []
     for f1, x1 in finals[: 3 if smooth else 8]:
-        x2, f2 = polish(obj.value, obj.subgrad if smooth else None, x1)
+        x2, f2 = polish(obj.value, obj.value_and_grad if smooth else None, x1)
         polished.append((f2, x2))
     best_f, best_x = min(polished + finals, key=lambda t: t[0])[:2]
 
@@ -219,7 +212,7 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, tol=1e-8,
         gx, gf = grid_refine(obj.value_many, best_x, halfwidth)
         if gf < best_f:
             best_x, best_f = gx, gf
-        x2, f2 = polish(obj.value, obj.subgrad if smooth else None, best_x)
+        x2, f2 = polish(obj.value, obj.value_and_grad if smooth else None, best_x)
         if f2 < best_f:
             best_x, best_f = x2, f2
 
@@ -229,5 +222,4 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, tol=1e-8,
     converged = used_grid or near >= min(3, len(start_vals))
     return MultiStartOutcome(
         x=best_x, value=float(best_f), start_values=start_vals,
-        starts_run=len(xs), iterations=iters, gap=gap, converged=converged,
-        per_start_x=[x for _, x in finals])
+        starts_run=len(xs), iterations=iters, gap=gap, converged=converged)

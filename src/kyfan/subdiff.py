@@ -213,37 +213,3 @@ def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
         zb = desc.boundary.basis
         val += top_eigsum(zb.conj().T @ h @ zb, desc.boundary.required)
     return val
-
-
-def trace_power_gradient(a, v, p, tol=1e-8):
-    """Gradient representer of X -> Re tr(V V* (X*X)^(p/2)) at X = a, for p > 2.
-
-    Returns p * A V V* (A*A)^((p-2)/2).  Columns of v must be (near-)eigenvectors
-    of A*A; the derivative formula is only valid on that set.
-    """
-    a = as_matrix(a)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[1] == 0:
-        raise InvalidInputError("V needs at least one column")
-    if v.shape[0] != a.shape[1]:
-        raise InvalidInputError("V rows must match the column count of a")
-    if not np.isfinite(p) or p <= 2:
-        raise InvalidInputError("trace_power_gradient needs p > 2")
-    ata = a.conj().T @ a
-    scale = max(float(np.linalg.norm(ata, 2)), 1e-300)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nc = np.linalg.norm(col)
-        if nc < 1e-12:
-            raise InvalidInputError("V has a zero column")
-        col = col / nc
-        lam = np.real(np.vdot(col, ata @ col))
-        if np.linalg.norm(ata @ col - lam * col) > max(tol, 1e-8) * scale:
-            raise InvalidInputError("V columns must be eigenvectors of A*A")
-    # (A*A)^((p-2)/2) via singular vectors keeps the zero block exact
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    pw = np.where(s > 0, s ** (p - 2.0), 0.0)
-    root = (vh.conj().T * pw) @ vh
-    return p * (a @ (v @ v.conj().T) @ root)

@@ -28,6 +28,8 @@ def files(tmp_path_factory):
         "eye2": w("eye2.json", {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}),
         "sub_i3": w("sub_i3.json", {"field": "complex", "basis": [
             {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}),
+        "eye2_sub": w("eye2_sub.json", {"field": "complex", "basis": [
+            {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}]}),
         "sub_x": w("sub_x.json", {"field": "complex", "basis": [
             {"rows": 3, "cols": 3, "data": [0, 0, 0, 0, 1, 0, 0, 0, 1]}]}),
         "pairs": w("pairs.json", {"rows": 2, "cols": 1, "data": [[1, 2], [3, 4]]}),
@@ -188,18 +190,40 @@ def test_dual_output(capsys, files):
     assert json.loads(out) == {"value": 2.0}
 
 
+def reject(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
 def test_dual_of_huge_matrix_is_finite_json(capsys, tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1e300, 0, 0, 5e299]}))
-
-    def reject(token):
-        raise ValueError("non-standard JSON constant %s" % token)
-
     for spec in ("kyfan:p=1.5,k=2", "schatten:p=3"):
         code, out, _ = run(capsys, "dual", "--matrix", str(p), "--norm", spec)
         assert code == 0
         value = json.loads(out, parse_constant=reject)["value"]
         assert np.isfinite(value) and value > 1e300, spec
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # entries near the float limit overflow
+def test_ortho_subspace_huge_matrix_prints_strict_json(capsys, files, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1e300, 0, 0, 5e299]}))
+    code, out, _ = run(capsys, "ortho", "subspace", "--matrix", str(p),
+                       "--subspace", files["eye2_sub"], "--norm", "kyfan:p=2,k=2")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["residual_eig"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # entries near the float limit overflow
+def test_approx_linalg_failure_exits_3(capsys, files, tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [1e300, 0, 0, 5e299]}))
+    code, out, err = run(capsys, "approx", "--matrix", str(p),
+                         "--subspace", files["eye2_sub"], "--norm", "kyfan:p=2,k=2")
+    assert code == 3
+    assert err.startswith("error:") and "linear algebra" in err
+    assert out == ""
 
 
 def test_subdiff_payload_round_trips(capsys, files):

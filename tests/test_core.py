@@ -1,19 +1,11 @@
 import numpy as np
 import pytest
 
-from kyfan.core import (
-    MatrixSubspace,
-    as_matrix,
-    full_right_vectors,
-    herm_eig,
-    project_subspace,
-    psd_power,
-    spectrum_blocks,
-    svd,
-)
+from kyfan.core import MatrixSubspace, as_matrix, spectrum_blocks, svd
 from kyfan.errors import InvalidInputError
 
 from conftest import rand_complex
+from helpers import full_right_vectors, herm_eig, project_subspace, psd_power, reconstruct
 
 
 def test_svd_diagonal_sorted():
@@ -34,7 +26,7 @@ def test_svd_reconstruction(rng):
         n = int(rng.integers(1, 9))
         a = rand_complex(rng, m, n)
         f = svd(a)
-        err = np.max(np.abs(f.reconstruct() - a))
+        err = np.max(np.abs(reconstruct(f) - a))
         assert err <= 1e-11 * max(f.sigma[0], 1e-300), (m, n, err)
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from kyfan.errors import InvalidInputError
-from kyfan.norms import NormSpec, dual_norm, norm, norm_of_sigma, variational_norm_check
+from kyfan.norms import NormSpec, dual_norm, norm, norm_of_sigma
 
 from conftest import dual_gauge_oracle, rand_complex, rand_with_sigma
+from helpers import variational_norm_check
 
 
 def haar_unitary(rng, n):

@@ -11,10 +11,10 @@ from kyfan.subdiff import (
     pairing_range_parts,
     sample_extreme,
     top_eigsum,
-    trace_power_gradient,
 )
 
 from conftest import fd_derivative, rand_complex, rand_with_sigma
+from helpers import trace_power_gradient
 
 
 def test_descriptor_simple_singleton():
