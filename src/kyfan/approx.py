@@ -208,7 +208,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     if a.shape != x.shape:
         raise InvalidInputError("shape mismatch")
     sx = np.linalg.svd(x, compute_uv=False)
-    rank_x = int(np.sum(sx > 1e-12 * max(sx[0], 1.0))) if sx.size else 0
+    rank_x = int(np.sum(sx > 1e-12 * sx[0])) if sx.size else 0
     if rank_x == 0:
         raise InvalidInputError("X must be nonzero")
     spec = NormSpec.kyfan(p, k)
@@ -224,13 +224,12 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     starts = [np.zeros(2), x_of_coeffs(sub.coefficients(a), sub)]
     while len(starts) < trials:
         starts.append(scale * rng.standard_normal(2))
+    starts = np.array(starts)
+    if obj.smooth:
+        starts, _ = polyak_descent(obj.value_and_grad, starts, iters=120)
 
     endpoints = []
-    for x0 in starts:
-        if obj.smooth:
-            x1, _ = polyak_descent(obj.value_and_grad, x0, iters=120)
-        else:
-            x1 = x0
+    for x1 in starts:
         x2, f2 = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1)
         endpoints.append((f2, x2))
     best = min(f for f, _ in endpoints)
@@ -263,7 +262,9 @@ def _penalty(obj, k, barr, mu):
     Returns (value, value_and_grad, value_many).  value_and_grad works from one
     SVD R = U diag(sigma) V*: the gradient of f_j is U_j diag(sigma_i/f_j) V_j*,
     so sum_j w_j grad f_j = U diag(sigma_i sum_{j>=i} w_j/f_j) V* with w_k = 1
-    and w_j = mu on the violated earlier stages.
+    and w_j = mu on the violated earlier stages.  Like value_many it takes a
+    point or a stack of points (a leading axis); a zero residual gets a zero
+    gradient.
     """
     nb = len(barr)
 
@@ -276,15 +277,14 @@ def _penalty(obj, k, barr, mu):
 
     def value_and_grad(x):
         u, s, vh = np.linalg.svd(obj.residual(x), full_matrices=False)
-        f = np.sqrt(np.cumsum(s * s))
-        val = float(f[k - 1] + mu * np.maximum(0.0, f[:nb] - barr).sum())
-        if s[0] == 0.0:
-            return val, np.zeros(x.size)
-        w = np.zeros(s.size)
-        w[:nb] = np.where(f[:nb] > barr, mu, 0.0)
-        w[k - 1] = 1.0
-        coef = s * np.cumsum((w / f)[::-1])[::-1]
-        return val, obj.pullback((u * coef) @ vh)
+        f = np.sqrt(np.cumsum(s * s, axis=-1))
+        val = f[..., k - 1] + mu * np.maximum(0.0, f[..., :nb] - barr).sum(axis=-1)
+        w = np.zeros(s.shape)
+        w[..., :nb] = np.where(f[..., :nb] > barr, mu, 0.0)
+        w[..., k - 1] = 1.0
+        coef = s * np.cumsum((w / np.where(f > 0, f, 1.0))[..., ::-1], axis=-1)[..., ::-1]
+        grad = obj.pullback((u * coef[..., None, :]) @ vh)
+        return (float(val), grad) if np.ndim(x) == 1 else (val, grad)
 
     return value, value_and_grad, value_many
 
@@ -410,12 +410,9 @@ def _solve_stage(obj, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_
         value, value_and_grad, value_many = _penalty(obj, k, barr, mu)
         cands = [best_x] + [best_x + scale * rng.standard_normal(d)
                             for _ in range(starts - 1)]
-        finals = []
-        for x0 in cands:
-            x1, _ = polyak_descent(value_and_grad, x0, iters=iters)
-            finals.append((value(x1), x1))
-        finals.sort(key=lambda t: t[0])
-        fb, xb = finals[0]
+        x1s, f1s = polyak_descent(value_and_grad, cands, iters=iters)
+        i = int(np.argmin(f1s))
+        fb, xb = float(f1s[i]), x1s[i]
         if obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
             halfwidth = 2.0 * (1.0 + np.linalg.norm(xb))
             gx, gf = grid_refine(value_many, xb, halfwidth)

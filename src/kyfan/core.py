@@ -101,16 +101,17 @@ class SpectrumBlocks:
 def spectrum_blocks(sigma, tol=BLOCK_TOL):
     """Group a non-increasing vector into multiplicity blocks.
 
-    Adjacent values closer than tol * max(sigma_1, 1) merge (transitively).
+    Adjacent values closer than tol * sigma_1 merge (transitively), so the
+    grouping does not depend on the scale of the vector.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
         raise InvalidInputError("spectrum_blocks expects a vector")
     if sigma.size == 0:
         return SpectrumBlocks(values=np.zeros(0), multiplicities=np.zeros(0, dtype=int), tol=tol)
-    if np.any(np.diff(sigma) > 1e-12 * max(abs(sigma[0]), 1.0)):
+    if np.any(np.diff(sigma) > 1e-12 * abs(sigma[0])):
         raise InvalidInputError("spectrum_blocks expects a non-increasing vector")
-    thresh = tol * max(sigma[0], 1.0)
+    thresh = tol * sigma[0]
     values, mults = [], []
     start = 0
     for i in range(1, sigma.size + 1):

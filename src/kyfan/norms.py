@@ -75,10 +75,9 @@ def _sigma_norm(sigma, p, k):
     s1 = top[..., 0]
     if p is None:  # spectral limit
         return s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(s1[..., None] > 0, top / np.where(s1[..., None] > 0, s1[..., None], 1.0), 0.0)
-        val = s1 * np.sum(ratios ** p, axis=-1) ** (1.0 / p)
-    return np.where(s1 > 0, val, 0.0)
+    # a zero spectrum divides by 1 and gives 0
+    scale = np.where(s1 > 0, s1, 1.0)
+    return s1 * np.sum((top / scale[..., None]) ** p, axis=-1) ** (1.0 / p)
 
 
 def norm(a, spec):

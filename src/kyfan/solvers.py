@@ -1,14 +1,16 @@
 """Shared minimization machinery for the approximation routines.
 
 The objective c -> ||A - sum c_j E_j||_spec is convex on the real coordinate
-vector of c.  Each point costs one SVD of the residual R = U diag(sigma) V*:
-it gives the value and, for p >= 2, the closed-form extreme subgradient
-U_k diag((sigma_i/||R||)^(p-1)) V_k*, pulled back to the coordinates.  The
+vector x of c.  Objective keeps one row per real coordinate (E_j, and iE_j
+after it for a complex field), so a residual and a pull-back are one matrix
+product each, on one point or on a stack of points.  Each point costs one SVD
+of the residual R = U diag(sigma) V*: it gives the value and, for p >= 2, the
+closed-form extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*.  The
 workhorse is multi-start Polyak-step subgradient descent on that fused value
-and subgradient, followed by a smooth polish (BFGS with the exact gradient
-where the norm is differentiable, Nelder-Mead at kinks) and, for
-low-dimensional subspaces, a coarse-to-fine grid pass evaluated with batched
-SVDs.
+and subgradient, all starts in lockstep with one stacked SVD per step,
+followed by a smooth polish (BFGS with the exact gradient where the norm is
+differentiable, Nelder-Mead at kinks) and, for low-dimensional subspaces, a
+coarse-to-fine grid pass evaluated with batched SVDs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .norms import norm, norm_of_sigma
+from .norms import _sigma_norm
 
 
 def real_dim(subspace):
@@ -43,73 +45,82 @@ def x_of_coeffs(c, subspace):
 
 
 class Objective:
-    """f(x) = ||A - combine(x)||_spec with batched evaluation and gradients."""
+    """f(x) = ||A - combine(x)||_spec; every method takes x or a stack of x."""
 
     def __init__(self, a, subspace, spec):
         self.a = np.asarray(a, dtype=complex)
         self.subspace = subspace
         self.spec = spec
-        self.basis = np.stack(subspace.onb) if subspace.dim else np.zeros((0,) + a.shape)
-        p, k = spec.resolve(min(a.shape))
+        self.p, self.k = spec.resolve(min(a.shape))
         # p = None means the norm reduces to sigma_1, whose extreme subgradients
         # are those of the (2, 1) norm; the closed form below needs p >= 2
-        self.p_eff, self.k_eff = (2.0, 1) if p is None else (p, k)
+        self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
         self.smooth = self.p_eff >= 2
+        onb = np.asarray(subspace.onb, dtype=complex).reshape(subspace.dim, self.a.size)
+        if subspace.field == "complex":
+            onb = np.stack([onb, 1j * onb], axis=1).reshape(-1, self.a.size)
+        self.rows = onb  # row i is the matrix that real coordinate x_i multiplies
+        self._rows_h = onb.conj().T
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
-        c = coeffs_of_x(x, self.subspace)
-        return self.a - np.tensordot(c, self.basis, axes=(-1, 0))
+        x = np.asarray(x)
+        return self.a - (x @ self.rows).reshape(x.shape[:-1] + self.a.shape)
 
     def value(self, x):
-        return norm(self.residual(x), self.spec)
+        return float(_sigma_norm(np.linalg.svd(self.residual(x), compute_uv=False), self.p, self.k))
 
     def value_many(self, xs):
-        return norm(self.residual(xs), self.spec)
+        return _sigma_norm(np.linalg.svd(self.residual(xs), compute_uv=False), self.p, self.k)
 
     def pullback(self, g):
-        """Gradient in x of Re tr(G* R(x)): -Re tr(G* E_j), and Im for the imaginary parts."""
-        pair = np.tensordot(self.basis, g.conj(), axes=([1, 2], [0, 1]))
-        return x_of_coeffs(-pair.conj(), self.subspace)
+        """Gradient in x of Re tr(G* R(x)): -Re tr(G* row_i); g may be a stack."""
+        return -(g.reshape(g.shape[:-2] + (-1,)) @ self._rows_h).real
 
     def value_and_grad(self, x):
         """f(x) and a pulled-back subgradient from one SVD of the residual.
 
         The subgradient is the extreme point U_k diag((sigma_i/f)^(p-1)) V_k* of
         the (p, k) norm, the exact gradient wherever the norm is smooth; 0 at a
-        zero residual and None for p < 2.
+        zero residual and None for p < 2.  A stack of points gives a stack of
+        values and gradients; one point gives a float and a vector.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
-        f = norm_of_sigma(s, self.spec)
-        if not self.smooth:
-            return f, None
-        if f == 0.0:
-            return f, np.zeros(real_dim(self.subspace))
-        k = self.k_eff
-        g = (u[:, :k] * (s[:k] / f) ** (self.p_eff - 1.0)) @ vh[:k]
-        return f, self.pullback(g)
+        f = _sigma_norm(s, self.p, self.k)
+        g = None
+        if self.smooth:
+            k = self.k_eff
+            ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
+            g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
+        return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
 
 def polyak_descent(fg, x0, iters=150):
     """Subgradient descent with Polyak-style steps off the best value seen.
 
-    fg(x) returns (value, subgradient or None).
+    x0 is an (S, d) stack of starts that descend in lockstep, one call of fg
+    per step for all of them; fg(xs) returns (values, subgradients or None).
+    Each start keeps its own best point and slack, and stops moving once its
+    subgradient vanishes.  Returns the (S, d) best points and their values.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     fx, g = fg(x)
-    best_x, best_f = x.copy(), fx
-    slack = 0.1 * (1.0 + abs(fx))
+    best_x, best_f = x.copy(), np.array(fx, dtype=float)
+    if g is None:
+        return best_x, best_f
+    slack = 0.1 * (1.0 + np.abs(fx))
+    live = np.ones(len(x), dtype=bool)
     for _ in range(iters):
-        if g is None:
+        gn = np.einsum("ij,ij->i", g, g)
+        live &= gn >= 1e-30
+        if not live.any():
             break
-        gn = float(np.dot(g, g))
-        if gn < 1e-30:
-            break
-        step = (fx - best_f + slack) / gn
-        x = x - step * g
+        step = np.where(live, fx - best_f + slack, 0.0) / np.where(live, gn, 1.0)
+        x = x - step[:, None] * g
         fx, g = fg(x)
-        if fx < best_f:
-            best_f, best_x = fx, x.copy()
+        better = fx < best_f
+        best_f[better] = fx[better]
+        best_x[better] = x[better]
         slack *= 0.93
     return best_x, best_f
 
@@ -187,17 +198,13 @@ def default_starts(obj, starts, seed):
 def multistart_minimize(obj, starts=50, iters=150, seed=0, grid_dim_limit=2,
                         extra_starts=()):
     """Full pipeline on an Objective; deterministic for fixed inputs."""
-    xs = default_starts(obj, starts, seed)
-    xs = list(xs) + [np.asarray(e, dtype=float) for e in extra_starts]
+    xs = np.array(default_starts(obj, starts, seed) + list(extra_starts), dtype=float)
     smooth = obj.smooth
-    finals = []
-    for x0 in xs:
-        if smooth:
-            x1, f1 = polyak_descent(obj.value_and_grad, x0, iters=iters)
-        else:
-            x1, f1 = x0, obj.value(x0)
-        finals.append((f1, x1))
-    finals.sort(key=lambda t: t[0])
+    if smooth:
+        x1s, f1s = polyak_descent(obj.value_and_grad, xs, iters=iters)
+    else:
+        x1s, f1s = xs, obj.value_many(xs)
+    finals = [(float(f1s[i]), x1s[i]) for i in np.argsort(f1s, kind="stable")]
     # polish the best starts; without subgradients the polish does all the work
     polished = []
     for f1, x1 in finals[: 3 if smooth else 8]:

@@ -135,3 +135,28 @@ def trace_power_gradient(a, v, p, tol=1e-8):
     pw = np.where(s > 0, s ** (p - 2.0), 0.0)
     root = (vh.conj().T * pw) @ vh
     return p * (a @ (v @ v.conj().T) @ root)
+
+
+def polyak_descent_one(fg, x0, iters=150):
+    """One-start Polyak-step subgradient descent, the loop the lockstep
+    `kyfan.solvers.polyak_descent` runs on every row of its stack.
+
+    fg(x) returns (value, subgradient or None) at a single point.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    fx, g = fg(x)
+    best_x, best_f = x.copy(), fx
+    slack = 0.1 * (1.0 + abs(fx))
+    for _ in range(iters):
+        if g is None:
+            break
+        gn = float(np.dot(g, g))
+        if gn < 1e-30:
+            break
+        step = (fx - best_f + slack) / gn
+        x = x - step * g
+        fx, g = fg(x)
+        if fx < best_f:
+            best_f, best_x = fx, x.copy()
+        slack *= 0.93
+    return best_x, best_f

@@ -207,6 +207,14 @@ def test_unique_probe_full_rank(rng):
     assert probe.spread <= 1e-5
 
 
+def test_unique_probe_rank_is_scale_free(rng):
+    # sigma(X) = s * (1, 1e-11, 0): rank 2 at every scale s
+    a = rand_complex(rng, 3, 3)
+    for s in [1.0, 1e-3, 1e-6]:
+        probe = unique_1d_probe(a, s * np.diag([1.0, 1e-11, 0.0]), p=2, k=2, seed=0)
+        assert probe.rank_x == 2 and probe.unique_predicted, s
+
+
 def test_unique_probe_validation():
     with pytest.raises(InvalidInputError):
         unique_1d_probe(np.eye(3), np.zeros((3, 3)), 2, 1)

@@ -12,7 +12,7 @@ from kyfan.ortho import (
     subspace_certificate,
     verify_certificate,
 )
-from kyfan.subdiff import canonical_extreme, descriptor, sample_extreme
+from kyfan.subdiff import canonical_extreme, descriptor, dir_derivative, sample_extreme
 
 from conftest import lambda_min_norm, rand_complex
 
@@ -120,6 +120,17 @@ def test_check_bj_constructed_orthogonal(rng):
         spec = NormSpec.kyfan(p, k)
         mn, _ = lambda_min_norm(a, b, spec)
         assert mn >= norm(a, spec) - 1e-7
+
+
+def test_check_bj_and_dir_derivative_scale_free():
+    # distinct singular values must stay distinct blocks at every scale
+    a = np.diag([3.0, 2.0, 1.0]).astype(complex)
+    b = rand_complex(np.random.default_rng(5), 3, 3)
+    want_orth = check_bj(a, b, 2, 2).orthogonal
+    want_d = dir_derivative(a, b, 2, 2)
+    for s in [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12]:
+        assert check_bj(s * a, b, 2, 2).orthogonal == want_orth, s
+        assert abs(dir_derivative(s * a, b, 2, 2) - want_d) <= 1e-10 * abs(want_d), s
 
 
 def test_eps_bj_knowns():

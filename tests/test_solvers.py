@@ -1,16 +1,19 @@
 """The fused value-and-gradient path of the solvers against the subdifferential
-descriptor, which stays the independent oracle."""
+descriptor, which stays the independent oracle; the stacked kernel and the
+lockstep descent against their one-point forms."""
 
 import numpy as np
 import pytest
 
-from kyfan.approx import _penalty
+from kyfan import solvers
+from kyfan.approx import _penalty, best_approx
 from kyfan.core import MatrixSubspace
-from kyfan.norms import NormSpec, norm
-from kyfan.solvers import Objective, x_of_coeffs
+from kyfan.norms import NormSpec, _sigma_norm, norm
+from kyfan.solvers import Objective, polish, polyak_descent, x_of_coeffs
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
+from helpers import polyak_descent_one
 
 SPECS = [NormSpec.spectral(), NormSpec.kyfan(2, 2), NormSpec.kyfan(3, 2),
          NormSpec.kyfan(7, 3), NormSpec.kyfan(3, 1), NormSpec.schatten(3)]
@@ -109,3 +112,148 @@ def test_one_svd_per_fused_evaluation(rng, monkeypatch):
                                     np.array([0.0, 0.0]), 5.0)
     value_and_grad(x)
     assert len(calls) == 2
+
+
+def in_subspace_instance(rng, field, m=3, n=4):
+    """(a, subspace, x0, xs): a lies in the subspace, the residual at x0 is
+    exactly 0 (unit-matrix basis, integer coordinates), xs are random points."""
+    e00, e12 = np.zeros((m, n)), np.zeros((m, n))
+    e00[0, 0] = e12[1, 2] = 1.0
+    sub = MatrixSubspace([e00, e12, rand_complex(rng, m, n)], field=field)
+    c0 = np.array([2.0, -3.0, 0.0])
+    x0 = x_of_coeffs(c0, sub)
+    xs = 2.0 * rng.standard_normal((5, x0.size))
+    return sub.combine(c0), sub, x0, xs
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert np.linalg.norm(np.subtract(got, want)) <= rtol * np.linalg.norm(want), (got, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_stacked_kernel_rows_match_single_points(rng, field):
+    a, sub, x0, xs = in_subspace_instance(rng, field)
+    stack = np.vstack([xs[:2], x0, xs[2:]])  # the zero-residual point in the middle
+    for spec in SPECS:
+        obj = Objective(a, sub, spec)
+        fs, gs = obj.value_and_grad(stack)
+        vals = obj.value_many(stack)
+        assert fs.shape == vals.shape == (len(stack),) and gs.shape == stack.shape
+        for x, f_row, g_row, v_row in zip(stack, fs, gs, vals):
+            f, g = obj.value_and_grad(x)
+            assert isinstance(f, float) and g.shape == x.shape
+            assert_close(f_row, f)
+            assert_close(g_row, g)
+            assert_close(v_row, obj.value(x))
+        assert fs[2] == 0.0 and not np.any(gs[2])
+    obj = Objective(a, sub, NormSpec.kyfan(2, 1))
+    for k, barr in [(2, [0.5]), (3, [0.5, 100.0])]:
+        _, value_and_grad, value_many = _penalty(obj, k, np.array(barr), 7.0)
+        fs, gs = value_and_grad(stack)
+        for x, f_row, g_row, v_row in zip(stack, fs, gs, value_many(stack)):
+            f, g = value_and_grad(x)
+            assert isinstance(f, float)
+            assert_close(f_row, f)
+            assert_close(g_row, g)
+            assert_close(v_row, f)
+        assert fs[2] == 0.0 and not np.any(gs[2])
+
+
+def old_sigma_norm(sigma, p, k):
+    """The formula _sigma_norm used before it dropped errstate and the double where."""
+    top = sigma[..., :k]
+    s1 = top[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(s1[..., None] > 0, top / np.where(s1[..., None] > 0, s1[..., None], 1.0), 0.0)
+        val = s1 * np.sum(ratios ** p, axis=-1) ** (1.0 / p)
+    return np.where(s1 > 0, val, 0.0)
+
+
+def test_sigma_norm_zero_spectral_and_old_formula(rng):
+    zero = np.zeros(4)
+    for p, k in [(None, 1), (1.0, 4), (2.0, 2), (3.5, 3), (50.0, 4)]:
+        assert _sigma_norm(zero, p, k) == 0.0
+    s = np.sort(rng.uniform(0.0, 3.0, (6, 4)), axis=-1)[:, ::-1]
+    s[2] = 0.0
+    s[4] *= 1e-200
+    assert np.array_equal(_sigma_norm(s, None, 1), s[:, 0])
+    assert norm(np.diag(s[0]), NormSpec.spectral()) == s[0, 0]
+    for p, k in [(1.0, 4), (2.0, 1), (2.0, 2), (3.5, 3), (50.0, 4)]:
+        got = _sigma_norm(s, p, k)
+        assert got[2] == 0.0
+        assert np.allclose(got, old_sigma_norm(s, p, k), rtol=1e-15, atol=0.0), (p, k)
+
+
+def lockstep_cases(rng, in_subspace):
+    """(label, fg, starts) on real and complex fields and on the strict penalty.
+
+    With in_subspace, A lies in the subspace and the first start sits where
+    the residual is exactly 0; otherwise A is moved off the subspace.
+    """
+    for field in ["real", "complex"]:
+        a, sub, x0, xs = in_subspace_instance(rng, field)
+        starts = np.vstack([x0, xs])
+        if not in_subspace:
+            a = a + rand_complex(rng, *a.shape)
+        for spec in [NormSpec.spectral(), NormSpec.kyfan(3, 2), NormSpec.schatten(4)]:
+            yield (field, spec.label()), Objective(a, sub, spec).value_and_grad, starts
+        _, value_and_grad, _ = _penalty(Objective(a, sub, NormSpec.kyfan(2, 1)), 3,
+                                        np.array([0.5, 0.8]), 10.0)
+        yield (field, "penalty"), value_and_grad, starts
+
+
+@pytest.mark.parametrize("in_subspace", [False, True], ids=["off", "in"])
+def test_lockstep_descent_matches_one_start_loop(rng, in_subspace):
+    """Each row of the lockstep descent follows the one-start loop.
+
+    20 steps: the descent amplifies round-off, and a 1e-15 relative change of
+    the start alone moves the one-start loop's best value by about 1e-13
+    after 20 steps, 1e-9 after 30-40 and 1e-4 after 60 on these instances.
+    """
+    for label, fg, starts in lockstep_cases(rng, in_subspace):
+        best_x, best_f = polyak_descent(fg, starts, iters=20)
+        assert best_x.shape == starts.shape and best_f.shape == (len(starts),)
+        for x0, fb in zip(starts, best_f):
+            ref_f = polyak_descent_one(fg, x0, iters=20)[1]
+            # relative to the optimum, or to the start's value where the optimum is 0
+            scale = fg(x0)[0] if in_subspace else ref_f
+            assert abs(fb - ref_f) <= 1e-10 * scale, (label, fb, ref_f)
+        if in_subspace:
+            # the start on the exact solution stops at once and stays there
+            assert best_f[0] == 0.0 and np.array_equal(best_x[0], starts[0]), label
+
+
+def count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    return calls
+
+
+def test_lockstep_descent_makes_one_svd_per_step(rng, monkeypatch):
+    a, sub, x = instance(rng, None, "complex", 3, 3)
+    obj = Objective(a, sub, NormSpec.kyfan(3, 2))
+    starts = x + rng.standard_normal((6, x.size))
+    calls = count_svd(monkeypatch)
+    polyak_descent(obj.value_and_grad, starts, iters=20)
+    assert len(calls) <= 21
+
+
+def test_best_approx_descent_svd_count(rng, monkeypatch):
+    """All starts of best_approx descend together: outside the polish, a
+    dim-3 solve (no grid) makes one SVD per step plus the final residual's."""
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(3)], field="real")
+    calls = count_svd(monkeypatch)
+    in_polish = []
+
+    def counted_polish(*args, **kw):
+        before = len(calls)
+        out = polish(*args, **kw)
+        in_polish.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(solvers, "polish", counted_polish)
+    best_approx(a, sub, NormSpec.kyfan(3, 2), starts=6, iters=150)
+    assert len(in_polish) == 3
+    assert len(calls) - sum(in_polish) <= 151 + 1 < 6 * 151
