@@ -42,9 +42,11 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
                 grid_dim_limit=2, extra_coeffs=None):
     """Minimize ||A - Y||_spec over Y in the subspace.
 
-    Multi-start subgradient descent with smooth polish; subspaces of dimension
-    <= grid_dim_limit additionally get a coarse-to-fine grid pass, which makes
-    the low-dimensional solves certifiable to near machine precision.
+    Multi-start subgradient descent with smooth polish, stopped once the
+    duality-gap bracket closes (trace["duality_gap"] is its width).  While it is
+    open, Nelder-Mead runs and subspaces of dimension <= grid_dim_limit get a
+    coarse-to-fine grid pass, which makes the low-dimensional solves
+    certifiable to near machine precision.
     extra_coeffs seeds additional starts (warm starting across a parameter sweep).
     """
     a = as_matrix(a)
@@ -67,7 +69,8 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
     if not out.converged:
         flags.append("unconverged")
     trace = {"starts": out.starts_run, "iterations": out.iterations,
-             "start_gap": out.gap, "start_values": out.start_values[:8]}
+             "start_gap": out.gap, "start_values": out.start_values[:8],
+             "duality_gap": out.duality_gap}
     return ApproximationResult(coefficients=coeffs, y=y, value=out.value,
                                residual=residual, sigma=sigma, spec=spec,
                                converged=out.converged, trace=trace, flags=flags)
@@ -230,7 +233,8 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
 
     endpoints = []
     for x1 in starts:
-        x2, f2 = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1)
+        x2, f2, _ = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1,
+                           obj.lower_bound)
         endpoints.append((f2, x2))
     best = min(f for f, _ in endpoints)
     keep = [coeffs_of_x(xv, sub)[0] for f, xv in endpoints
@@ -418,7 +422,7 @@ def _solve_stage(obj, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_
             gx, gf = grid_refine(value_many, xb, halfwidth)
             if gf < fb:
                 fb, xb = gf, gx
-        xb, fb = polish(value, None, xb)
+        xb, fb, _ = polish(value, None, xb)
         best_x = xb
         f = _partial_sums(obj, best_x)
         viol = float(np.max(np.maximum(0.0, f[: len(barr)] - barr)))
@@ -446,13 +450,13 @@ def _tighten_final(obj, x, values, stage_tol, grid_dim_limit):
         f = _partial_sums(obj, z)
         return float(np.max(np.maximum(0.0, f[: n0 - 1] - barr), initial=0.0))
 
-    xb, _ = polish(value, None, x)
+    xb, _, _ = polish(value, None, x)
     if obj.subspace.dim <= grid_dim_limit:
         hw = max(100.0 * stage_tol, 1e-6) * (1.0 + np.linalg.norm(xb))
         gx, gv = grid_refine(value_many, xb, hw, levels=10)
         if gv < value(xb):
             xb = gx
-        xb, _ = polish(value, None, xb)
+        xb, _, _ = polish(value, None, xb)
     return xb if tight_viol(xb) < tight_viol(x) else x
 
 

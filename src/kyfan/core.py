@@ -182,7 +182,7 @@ class MatrixSubspace:
                 for e in onb:
                     v = v - _inner(v, e, self.field) * e
             nrm = float(np.linalg.norm(v))
-            if nrm < 1e-12:
+            if nrm <= 1e-12 * np.linalg.norm(b):
                 raise InvalidInputError("basis is numerically dependent")
             onb.append(v / nrm)
         return onb

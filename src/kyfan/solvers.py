@@ -9,8 +9,10 @@ closed-form extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*.  The
 workhorse is multi-start Polyak-step subgradient descent on that fused value
 and subgradient, all starts in lockstep with one stacked SVD per step,
 followed by a smooth polish (BFGS with the exact gradient where the norm is
-differentiable, Nelder-Mead at kinks) and, for low-dimensional subspaces, a
-coarse-to-fine grid pass evaluated with batched SVDs.
+differentiable).  Its last subgradient gives a Hoelder lower bound on the
+minimum; once the bracket [lower, f] is within GAP_TOL the solve stops.  Only
+while it is open (kinks, p < 2) do Nelder-Mead and, for low-dimensional
+subspaces, a coarse-to-fine grid pass evaluated with batched SVDs run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .norms import _sigma_norm
+
+# a solve stops once f - lower <= GAP_TOL * (1 + f)
+GAP_TOL = 1e-7
 
 
 def real_dim(subspace):
@@ -61,6 +66,7 @@ class Objective:
             onb = np.stack([onb, 1j * onb], axis=1).reshape(-1, self.a.size)
         self.rows = onb  # row i is the matrix that real coordinate x_i multiplies
         self._rows_h = onb.conj().T
+        self.a_x = (onb.conj() @ self.a.ravel()).real  # coordinates of P_S A
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
@@ -94,6 +100,16 @@ class Objective:
             g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
         return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
+    def lower_bound(self, x, f, g):
+        """Lower bound on min f from f and the pulled-back subgradient g at x.
+
+        F = G - P_S G is orthogonal to the subspace, Re<F, A> = f + g.(a_x - x)
+        and ||F||_dual <= 1 + ||P_S G||_* <= 1 + sqrt(n0) ||g||, so by Hoelder
+        Re<F, A> / ||F||_dual <= ||A - Y|| for every Y in the subspace.
+        """
+        scale = 1.0 + np.sqrt(min(self.a.shape)) * np.linalg.norm(g)
+        return max(0.0, float((f + g @ (self.a_x - x)) / scale))
+
 
 def polyak_descent(fg, x0, iters=150):
     """Subgradient descent with Polyak-style steps off the best value seen.
@@ -125,26 +141,32 @@ def polyak_descent(fg, x0, iters=150):
     return best_x, best_f
 
 
-def polish(fun, fg, x0):
-    """Local refinement: BFGS on fg (value and gradient) when given, then Nelder-Mead on fun."""
+def polish(fun, fg, x0, lower=None):
+    """Local refinement: BFGS on fg (value and gradient) when given, then Nelder-Mead on fun.
+
+    Returns (x, f, low); low = lower(x, f, g) at BFGS's final point, when it
+    closes the bracket and Nelder-Mead is skipped, else None."""
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = fun(best_x)
     if best_x.size == 0:
-        return best_x, best_f
+        return best_x, best_f, None
     if fg is not None:
         try:
             res = minimize(fg, best_x, jac=True, method="BFGS",
                            options={"gtol": 1e-12, "maxiter": 300})
-            if res.fun < best_f:
-                best_x, best_f = np.asarray(res.x), float(res.fun)
         except Exception:
-            pass
+            res = None
+        if res is not None and res.fun <= best_f:
+            best_x, best_f = np.asarray(res.x), float(res.fun)
+            low = None if lower is None else lower(best_x, best_f, res.jac)
+            if low is not None and best_f - low <= GAP_TOL * (1.0 + best_f):
+                return best_x, best_f, low
     res = minimize(fun, best_x, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15,
                             "maxiter": 400 * best_x.size, "maxfev": 400 * best_x.size})
     if res.fun < best_f:
         best_x, best_f = np.asarray(res.x), float(res.fun)
-    return best_x, best_f
+    return best_x, best_f, None
 
 
 def grid_refine(fun_many, center, halfwidth, levels=None):
@@ -181,6 +203,7 @@ class MultiStartOutcome:
     iterations: int
     gap: float          # best vs worst start after local work
     converged: bool
+    duality_gap: float | None  # value - lower bound when the bracket closed
 
 
 def default_starts(obj, starts, seed):
@@ -206,27 +229,30 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, grid_dim_limit=2,
         x1s, f1s = xs, obj.value_many(xs)
     finals = [(float(f1s[i]), x1s[i]) for i in np.argsort(f1s, kind="stable")]
     # polish the best starts; without subgradients the polish does all the work
-    polished = []
-    for f1, x1 in finals[: 3 if smooth else 8]:
-        x2, f2 = polish(obj.value, obj.value_and_grad if smooth else None, x1)
-        polished.append((f2, x2))
-    best_f, best_x = min(polished + finals, key=lambda t: t[0])[:2]
+    fg = obj.value_and_grad if smooth else None
+    polished = [polish(obj.value, fg, x1, obj.lower_bound)
+                for _, x1 in finals[: 3 if smooth else 8]]
+    best_f, best_x = min([(f, x) for x, f, _ in polished] + finals, key=lambda t: t[0])
+    lows = [low for _, _, low in polished if low is not None]
 
+    # a closed bracket proves optimality; the grid pass is for an open one
     used_grid = False
-    if obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
+    if not lows and obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
         used_grid = True
         halfwidth = 2.0 * (1.0 + np.linalg.norm(best_x) + np.linalg.norm(obj.a))
         gx, gf = grid_refine(obj.value_many, best_x, halfwidth)
         if gf < best_f:
             best_x, best_f = gx, gf
-        x2, f2 = polish(obj.value, obj.value_and_grad if smooth else None, best_x)
+        x2, f2, low = polish(obj.value, fg, best_x, obj.lower_bound)
         if f2 < best_f:
             best_x, best_f = x2, f2
+        lows += [] if low is None else [low]
 
     start_vals = [f for f, _ in finals]
     gap = float(start_vals[-1] - start_vals[0]) if start_vals else 0.0
     near = sum(1 for f in start_vals if f <= best_f + 1e-5 * (1.0 + abs(best_f)))
-    converged = used_grid or near >= min(3, len(start_vals))
+    converged = bool(lows) or used_grid or near >= min(3, len(start_vals))
     return MultiStartOutcome(
         x=best_x, value=float(best_f), start_values=start_vals,
-        starts_run=len(xs), iterations=iters, gap=gap, converged=converged)
+        starts_run=len(xs), iterations=iters, gap=gap, converged=converged,
+        duality_gap=float(best_f - max(lows)) if lows else None)

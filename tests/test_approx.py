@@ -60,7 +60,8 @@ def test_best_approx_matches_grid_oracle(rng):
 
 def test_best_approx_trace_and_sigma():
     res = best_approx(A31, SPAN_I3, NormSpec.schatten(2), starts=6, seed=0)
-    assert set(res.trace) == {"starts", "iterations", "start_gap", "start_values"}
+    assert set(res.trace) == {"starts", "iterations", "start_gap", "start_values",
+                              "duality_gap"}
     s = np.linalg.svd(res.residual, compute_uv=False)
     assert np.allclose(res.sigma, s)
     assert abs(res.value - norm(res.residual, res.spec)) <= 1e-12
@@ -213,6 +214,15 @@ def test_unique_probe_rank_is_scale_free(rng):
     for s in [1.0, 1e-3, 1e-6]:
         probe = unique_1d_probe(a, s * np.diag([1.0, 1e-11, 0.0]), p=2, k=2, seed=0)
         assert probe.rank_x == 2 and probe.unique_predicted, s
+
+
+def test_unique_probe_tiny_basis_matrix(rng):
+    # the dependence check is relative to the basis matrix's own norm
+    a = rand_complex(rng, 3, 3)
+    ref = unique_1d_probe(a, np.eye(3), p=4, k=2, seed=0)
+    probe = unique_1d_probe(a, 1e-13 * np.eye(3), p=4, k=2, seed=0)
+    assert probe.rank_x == 3
+    assert abs(probe.best_value - ref.best_value) <= 1e-12 * ref.best_value
 
 
 def test_unique_probe_validation():

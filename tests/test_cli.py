@@ -163,22 +163,44 @@ def test_nonfinite_entries_exit_2(capsys, files, tmp_path, command, bad):
     assert out == ""
 
 
-def test_forced_nonconvergence_exits_3(capsys, files, tmp_path):
-    # dim-3 subspace: no grid rescue, one iteration cannot converge
-    basis = []
-    for idx in ((0, 0), (1, 1), (2, 2)):
-        m = np.zeros((3, 3))
-        m[idx] = 1.0
-        basis.append({"rows": 3, "cols": 3,
-                      "data": [float(v) for v in m.flat]})
+def _matrix3(rows):
+    return {"rows": 3, "cols": 3, "data": [float(v) for row in rows for v in row]}
+
+
+def test_forced_nonconvergence_exits_3(capsys, tmp_path):
+    # dim-3 subspace: no grid rescue; sigma_1 of the optimal residual is tied
+    # (a kink), so no duality-gap bracket closes and one iteration cannot converge
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(_matrix3([[2, 1, 0], [-2, -1, -3], [-3, -3, -2]])))
     p = tmp_path / "sub3.json"
-    p.write_text(json.dumps({"field": "complex", "basis": basis}))
-    code, out, _ = run(capsys, "strict", "--matrix", files["a3"],
-                       "--subspace", str(p), "--starts", "2", "--max-iter", "1")
+    p.write_text(json.dumps({"field": "complex", "basis": [_matrix3(b) for b in (
+        [[2, 1, 2], [0, 1, 2], [1, 1, 0]], [[0, 2, -1], [2, 1, -2], [-1, 2, 0]],
+        [[-2, 1, 1], [2, -2, -2], [2, -2, 0]])]}))
+    code, out, _ = run(capsys, "strict", "--matrix", str(a), "--subspace", str(p),
+                       "--starts", "2", "--max-iter", "1")
     assert code == 3
     payload = json.loads(out)
     assert payload["flags"] and not payload["converged"]
     assert "stages" in payload  # partial result still emitted
+    code, out, _ = run(capsys, "strict", "--matrix", str(a), "--subspace", str(p))
+    assert code == 0 and json.loads(out)["converged"]
+
+
+def test_zero_residual_converges_in_one_iteration(capsys, files, tmp_path):
+    # A = diag(3, 1, 0) lies in the diagonal subspace: the least-squares start
+    # reaches residual 0, where the bracket [0, 0] proves optimality
+    p = tmp_path / "diag3.json"
+    basis = []
+    for i in range(3):
+        m = np.zeros((3, 3))
+        m[i, i] = 1.0
+        basis.append(_matrix3(m))
+    p.write_text(json.dumps({"field": "complex", "basis": basis}))
+    code, out, _ = run(capsys, "strict", "--matrix", files["a3"],
+                       "--subspace", str(p), "--starts", "2", "--max-iter", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["converged"] and payload["flags"] == []
+    assert payload["values"] == [0.0, 0.0, 0.0]
 
 
 # --- subcommand payloads --------------------------------------------------------
@@ -324,6 +346,10 @@ def test_approx_payload_and_certify(capsys, files):
     assert payload["certificate"]["found"]
     assert payload["certificate"]["residual_perp"] <= 1e-7
     assert payload["converged"] and payload["flags"] == []
+    # the Frobenius optimum closes the duality-gap bracket
+    assert abs(payload["trace"]["duality_gap"]) <= 1e-7 * (1.0 + payload["value"])
+    assert run(capsys, "approx", "--matrix", files["a3"], "--subspace", files["sub_i3"],
+               "--norm", "schatten:p=2", "--certify")[1] == out
 
 
 def test_strict_payload(capsys, files):

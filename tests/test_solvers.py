@@ -1,15 +1,16 @@
 """The fused value-and-gradient path of the solvers against the subdifferential
 descriptor, which stays the independent oracle; the stacked kernel and the
-lockstep descent against their one-point forms."""
+lockstep descent against their one-point forms; the duality-gap bracket's
+soundness and where it stops the solve."""
 
 import numpy as np
 import pytest
 
 from kyfan import solvers
-from kyfan.approx import _penalty, best_approx
+from kyfan.approx import _penalty, best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, norm
-from kyfan.solvers import Objective, polish, polyak_descent, x_of_coeffs
+from kyfan.solvers import GAP_TOL, Objective, polish, polyak_descent, x_of_coeffs
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
@@ -257,3 +258,78 @@ def test_best_approx_descent_svd_count(rng, monkeypatch):
     best_approx(a, sub, NormSpec.kyfan(3, 2), starts=6, iters=150)
     assert len(in_polish) == 3
     assert len(calls) - sum(in_polish) <= 151 + 1 < 6 * 151
+
+
+# --- duality-gap bracket ------------------------------------------------------
+
+BRACKET_SPECS = [NormSpec.spectral(), NormSpec.kyfan(3, 2), NormSpec.kyfan(2, 1),
+                 NormSpec.schatten(4), NormSpec.schatten(2)]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lower_bound_never_exceeds_the_minimum(rng, field):
+    """Objective.lower_bound at points near the optimum and near and far from
+    P_S A stays below every value the solver reaches."""
+    for spec in BRACKET_SPECS:
+        for _ in range(3):
+            a = rand_complex(rng, 3, 3)
+            sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field=field)
+            obj = Objective(a, sub, spec)
+            res = best_approx(a, sub, spec, starts=6, seed=1)
+            best = x_of_coeffs(res.coefficients, sub)
+            d = best.size
+            points = [best, best + 1e-6 * rng.standard_normal(d),
+                      best + 1e-3 * rng.standard_normal(d)]
+            points += [obj.a_x + t * rng.standard_normal(d) for t in (0.01, 0.1, 1.0, 3.0, 10.0)]
+            for x in points:
+                f, g = obj.value_and_grad(x)
+                lower = obj.lower_bound(x, f, g)
+                assert 0.0 <= lower <= res.value + 1e-12 * (1.0 + res.value), spec
+
+
+def test_bracket_closes_at_least_squares_point(rng):
+    # Schatten-2 is Frobenius: the residual at P_S A is orthogonal to the subspace
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field="complex")
+    obj = Objective(a, sub, NormSpec.schatten(2))
+    f, g = obj.value_and_grad(obj.a_x)
+    assert abs(f - obj.lower_bound(obj.a_x, f, g)) <= 1e-13 * f
+    _, f2, low = polish(obj.value, obj.value_and_grad, obj.a_x, obj.lower_bound)
+    assert low is not None and abs(f2 - low) <= GAP_TOL * (1.0 + f2)
+
+
+def count_local_work(monkeypatch):
+    methods, grids = [], []
+    minimize, grid_refine = solvers.minimize, solvers.grid_refine
+    monkeypatch.setattr(solvers, "minimize",
+                        lambda *args, **kw: methods.append(kw["method"]) or minimize(*args, **kw))
+    monkeypatch.setattr(solvers, "grid_refine",
+                        lambda *args, **kw: grids.append(1) or grid_refine(*args, **kw))
+    return methods, grids
+
+
+def test_smooth_optimum_stops_on_the_bracket(rng, monkeypatch):
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field="complex")
+    spec = NormSpec.schatten(4)
+    methods, grids = count_local_work(monkeypatch)
+    res = best_approx(a, sub, spec, starts=6, seed=0)
+    assert "Nelder-Mead" not in methods and methods.count("BFGS") == 3
+    assert grids == []
+    assert res.converged and abs(res.trace["duality_gap"]) <= GAP_TOL * (1.0 + res.value)
+    assert certify_best(a, sub, spec, res).found
+
+
+def test_kink_optimum_keeps_the_grid_pass(rng, monkeypatch):
+    # A Hermitian against span{I} in the spectral norm: sigma_1 is tied at the
+    # optimum c = (max d + min d) / 2, so no bracket closes
+    d = np.array([1.7, -0.4, -1.1])
+    q, _ = np.linalg.qr(rand_complex(rng, 3, 3))
+    a = (q * d) @ q.conj().T
+    methods, grids = count_local_work(monkeypatch)
+    res = best_approx(a, MatrixSubspace([np.eye(3)], field="complex"),
+                      NormSpec.spectral(), starts=6, seed=0)
+    assert len(grids) == 1 and "Nelder-Mead" in methods
+    assert res.trace["duality_gap"] is None and res.converged
+    assert np.max(np.abs(res.y - (d.max() + d.min()) / 2.0 * np.eye(3))) <= 1e-6
+    assert abs(res.value - (d.max() - d.min()) / 2.0) <= 1e-9
