@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import as_matrix, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, norm
 from .solvers import (Objective, coeffs_of_x, grid_refine, multistart_minimize,
                       polish, polyak_descent, x_of_coeffs)
-from .subdiff import canonical_extreme, descriptor, pairing_range_parts, sample_extreme
+from .subdiff import descriptor, face_min_norm
 
 
 @dataclass
@@ -85,32 +84,6 @@ def _cert_face(spec, n0):
     return p, k
 
 
-def _extreme_with(desc, cmat):
-    proj = desc.fixed_projector.copy()
-    if desc.boundary is not None:
-        y = desc.boundary.basis @ cmat
-        proj = proj + y @ y.conj().T
-    return desc.prefactor @ proj
-
-
-def _simplex_qp(vecs):
-    """min ||sum w_i v_i||^2 over the probability simplex; returns (w, value)."""
-    v = np.stack(vecs, axis=1)
-    q = np.real(v.conj().T @ v)
-    m = q.shape[0]
-    if m == 1:
-        return np.array([1.0]), float(q[0, 0])
-    w0 = np.full(m, 1.0 / m)
-    res = minimize(lambda w: float(w @ q @ w), w0, jac=lambda w: 2.0 * (q @ w),
-                   method="SLSQP", bounds=[(0.0, 1.0)] * m,
-                   constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0,
-                                 "jac": lambda w: np.ones(m)}],
-                   options={"maxiter": 200, "ftol": 1e-16})
-    w = np.clip(res.x, 0.0, None)
-    w = w / np.sum(w)
-    return w, float(max(w @ q @ w, 0.0))
-
-
 @dataclass
 class CertificateResult:
     found: bool
@@ -120,6 +93,7 @@ class CertificateResult:
     atoms_used: int
     pairing: float
     singleton: bool
+    residual_lower: float     # no subgradient at R reaches below it
 
 
 def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0):
@@ -127,11 +101,12 @@ def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0)
     projection onto the subspace.
 
     Finding one proves Y is a global minimizer (convexity); residual_perp is
-    the projection norm actually reached.  Fully corrective conditional
-    gradient over the extreme points: the linear subproblem over the boundary
-    face is an exact eigenvalue computation, and the convex recombination over
-    the collected atoms is a tiny simplex QP.  result may be an
-    ApproximationResult (the certificate is attached on success) or a matrix Y.
+    the projection norm actually reached, and residual_lower > cert_tol proves
+    that none exists.  The search is face_min_norm at R with max_atoms oracle
+    calls; weights are the convex weights of its atoms_used extreme points.
+    result may be an ApproximationResult (the certificate is attached on
+    success) or a matrix Y.  The search is deterministic; seed is accepted
+    for compatibility.
     """
     a = as_matrix(a)
     attach = result if isinstance(result, ApproximationResult) else None
@@ -140,50 +115,21 @@ def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0)
     n0 = min(a.shape)
     p, k = _cert_face(spec, n0)
     if not subspace.dim:
-        return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True)
+        return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True, 0.0)
     if norm(r, spec) == 0.0:
         # zero residual: Y = A attains the smallest conceivable value
-        return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True)
+        return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
 
     desc = descriptor(r, p, k)
-
-    def proj_coeffs(g):
-        return subspace.coefficients(g)
-
-    atoms = [canonical_extreme(desc)]
-    if desc.boundary is not None:
-        atoms += sample_extreme(desc, seed=seed, count=6)
-    vecs = [proj_coeffs(g) for g in atoms]
-
-    w, val = _simplex_qp(vecs)
-    for _ in range(max_atoms):
-        if np.sqrt(val) <= cert_tol or desc.boundary is None:
-            break
-        # steepest atom: minimize Re tr(G* D) with D the current projection
-        d_coeffs = np.stack(vecs, axis=1) @ w
-        d_mat = subspace.combine(d_coeffs)
-        _, mb = pairing_range_parts(desc, d_mat)
-        h = (mb + mb.conj().T) / 2.0
-        ew, ev = np.linalg.eigh(h)
-        cmat = ev[:, : desc.boundary.required]  # ascending order: bottom eigenvectors
-        g_new = _extreme_with(desc, cmat)
-        v_new = proj_coeffs(g_new)
-        # conditional-gradient gap: no atom improves once the linear slope is flat
-        slope = float(np.real(np.vdot(d_coeffs, v_new)))
-        if slope >= val - cert_tol ** 2:
-            break
-        vecs.append(v_new)
-        atoms.append(g_new)
-        w, val = _simplex_qp(vecs)
-
-    f = sum(wi * g for wi, g in zip(w, atoms))
-    resid = float(np.sqrt(max(val, 0.0)))
-    pairing = float(np.real(np.trace(f.conj().T @ r)))
-    out = CertificateResult(found=resid <= cert_tol, f_matrix=f, residual_perp=resid,
-                            weights=w, atoms_used=len(atoms), pairing=pairing,
-                            singleton=desc.singleton)
+    face = face_min_norm(desc, subspace.onb, subspace.field, tol=cert_tol,
+                         max_iter=max_atoms)
+    pairing = float(np.real(np.vdot(face.g, r)))
+    out = CertificateResult(found=face.residual <= cert_tol, f_matrix=face.g,
+                            residual_perp=face.residual, weights=face.weights,
+                            atoms_used=len(face.atoms), pairing=pairing,
+                            singleton=desc.singleton, residual_lower=face.lower)
     if attach is not None and out.found:
-        attach.certificate = f
+        attach.certificate = face.g
     return out
 
 

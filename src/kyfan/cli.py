@@ -275,7 +275,7 @@ def _cmd_ortho_bj(args):
     payload = {
         "orthogonal": res.orthogonal,
         "min_abs": res.min_abs,
-        "witness_basis": None if res.witness_basis is None else matrix_json(res.witness_basis),
+        "witness": None if res.witness is None else matrix_json(res.witness),
         "witness_residual": res.witness_residual,
         "refuting_lambda": None if res.refuting_lambda is None else _pair(res.refuting_lambda),
         "refuting_norm": res.refuting_norm,
@@ -320,6 +320,7 @@ def _cmd_ortho_subspace(args):
     _emit({"feasible": cert.feasible,
            "residual_eig": cert.residual_eig,
            "residual_perp": cert.residual_perp,
+           "residual_lower": cert.residual_lower,
            "dual_norm_bound": cert.dual_norm_bound,
            "iterations": cert.iterations,
            "density_matrices": [matrix_json(t) for t in cert.T_list],
@@ -506,8 +507,10 @@ def build_parser():
     common(sp)
     sp.set_defaults(fn=_cmd_ortho_parallel)
 
-    sp = osub.add_parser("subspace", help="orthogonality to a subspace with "
-                                          "density-matrix certificate")
+    sp = osub.add_parser("subspace", help="orthogonality to a subspace with a "
+                                          "density-matrix certificate (the subgradient "
+                                          "nearest to the complement; residual_lower "
+                                          "> tol proves there is none)")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--subspace", required=True)
     common(sp, tol_default=1e-9)

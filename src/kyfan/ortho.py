@@ -8,8 +8,11 @@ the scalar set
       = fixed + { tr(C* Mb C) : C a d x r isometry }          (boundary freedom)
 
 T is convex (the r-numerical range of Mb is), so min/max of |t| over T come
-from the planar support function h(theta) = max Re(e^{-i theta} t), computed
-exactly per direction by a top-r eigensum.
+from the planar support function h(theta) = max Re(e^{-i theta} t), a top-r
+eigensum per direction.  One stacked eigvalsh scans 256 directions, and four
+zoomed stacked scans refine both extremes.  A true BJ verdict carries a
+witness: the subgradient G nearest to tr(G* B) = 0, found by face_min_norm
+with S = span_C{B}.
 
 The approximate (eps) variant asks ||A + zB||^2 >= ||A||^2 - 2 eps ||A|| ||zB||
 and reduces to min |t| <= eps ||B|| (complex scalars) or min |Re t| <= eps ||B||
@@ -17,8 +20,10 @@ and reduces to min |t| <= eps ||B|| (complex scalars) or min |Re t| <= eps ||B||
 
 Orthogonality to a whole subspace is certified by density matrices: PSD
 trace-one T_i supported in the sigma_i^2 eigenspaces of A*A such that
-prefactor * sum T_i lies in the orthogonal complement of the subspace; found
-by Dykstra alternating projections.
+prefactor * sum T_i lies in the orthogonal complement of the subspace.  They
+come from the same face routine: rank-one eigenprojectors on the full
+eigenspace blocks and Q / r for each index of the block straddling k, with Q
+in the fantope {0 <= Q <= I, tr Q = r} nearest to the complement.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .core import MatrixSubspace, as_matrix
 from .errors import InvalidInputError
 from .norms import NormSpec, dual_norm, norm
-from .subdiff import descriptor, pairing_range_parts, top_eigsum
+from .subdiff import descriptor, face_min_norm, pairing_range_parts
 
 
 @dataclass
@@ -47,12 +52,18 @@ class InnerRange:
     mb: object = field(default=None, repr=False)
 
     def support(self, theta):
-        """h(theta) = max over T of Re(e^{-i theta} t)."""
-        val = float(np.real(np.exp(-1j * theta) * self.fixed_part))
+        """h(theta) = max over T of Re(e^{-i theta} t); an array of angles is
+        evaluated with one stacked eigvalsh."""
+        theta = np.asarray(theta, dtype=float)
+        val = np.real(np.exp(-1j * theta) * self.fixed_part)
         if self.mb is not None:
-            r = self.desc.boundary.required
-            val += top_eigsum(np.exp(-1j * theta) * self.mb, r)
-        return val
+            # the Hermitian part of e^{-i theta} Mb is cos(theta) Hc + sin(theta) Hs
+            hc = (self.mb + self.mb.conj().T) / 2.0
+            hs = (self.mb.conj().T - self.mb) * 0.5j
+            w = np.linalg.eigvalsh(np.cos(theta)[..., None, None] * hc
+                                   + np.sin(theta)[..., None, None] * hs)
+            val = val + np.sum(w[..., w.shape[-1] - self.desc.boundary.required:], axis=-1)
+        return float(val) if val.ndim == 0 else val
 
     def real_interval(self):
         """[min Re t, max Re t] over T."""
@@ -75,18 +86,6 @@ def _golden_min(fun, lo, hi, iters=60):
             fd = fun(d)
     x = (lo + hi) / 2
     return x, fun(x)
-
-
-def _refine_extremum(fun, grid, values, minimize_it):
-    # golden-section refinement over the two grid cells around the best grid
-    # value; keeps the grid point if refinement does not improve on it
-    sign = 1.0 if minimize_it else -1.0
-    idx = int(np.argmin(sign * values))
-    step = grid[1] - grid[0]
-    x, fx = _golden_min(lambda t: sign * fun(t), grid[idx] - step, grid[idx] + step)
-    if sign * values[idx] < fx:
-        return float(grid[idx]), float(values[idx])
-    return float(x), sign * fx
 
 
 def inner_range(a, b, p, k, tol=None):
@@ -112,14 +111,20 @@ def inner_range(a, b, p, k, tol=None):
         return rng_obj
 
     # one support scan serves both extremes; T convex, so max |t| is the
-    # largest support value and dist(0, T) = max(0, -min h)
-    h = rng_obj.support
+    # largest support value and dist(0, T) = max(0, -min h).  Each zoom scans
+    # +-1 grid step around both incumbents (offset 0 keeps them) at 1/16 the step.
     grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    hv = np.array([h(t) for t in grid])
-    rng_obj.theta_min, hmin = _refine_extremum(h, grid, hv, minimize_it=True)
-    rng_obj.theta_max, hmax = _refine_extremum(h, grid, hv, minimize_it=False)
-    rng_obj.min_abs = max(0.0, -hmin)
-    rng_obj.max_abs = hmax
+    hv = rng_obj.support(grid)
+    ends = grid[[np.argmin(hv), np.argmax(hv)]]
+    step = grid[1]
+    for _ in range(4):
+        cand = ends[:, None] + step * np.linspace(-1.0, 1.0, 33)
+        hv = rng_obj.support(cand)
+        ends = np.array([cand[0, np.argmin(hv[0])], cand[1, np.argmax(hv[1])]])
+        step /= 16.0
+    rng_obj.theta_min, rng_obj.theta_max = float(ends[0]), float(ends[1])
+    rng_obj.min_abs = max(0.0, -float(np.min(hv[0])))
+    rng_obj.max_abs = float(np.max(hv[1]))
     return rng_obj
 
 
@@ -137,95 +142,41 @@ def _attaining_value(rng_obj, theta):
     return complex(rng_obj.fixed_part + np.trace(c.conj().T @ rng_obj.mb @ c))
 
 
-def _witness_isometry(rng_obj, seed=0):
-    """Search an isometry whose scalar has modulus near min |t| (best effort)."""
-    desc, mb = rng_obj.desc, rng_obj.mb
-    if mb is None:
-        return None, abs(rng_obj.fixed_part)
-    r = desc.boundary.required
-
-    def value(c):
-        return complex(rng_obj.fixed_part + np.trace(c.conj().T @ mb @ c))
-
-    rng = np.random.default_rng(seed)
-    starts = [_attaining_isometry(rng_obj, th) for th in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
-    for _ in range(4):
-        g = rng.standard_normal((mb.shape[0], r)) + 1j * rng.standard_normal((mb.shape[0], r))
-        starts.append(np.linalg.qr(g)[0])
-    best_c, best_v = None, np.inf
-    for c in starts:
-        c = c.copy()
-        for _ in range(60):
-            z = value(c)
-            if abs(z) <= 1e-14:
-                break
-            # move toward the face that decreases Re(e^{-i arg(-z)} ...): the
-            # support direction opposite the current value
-            target = _attaining_isometry(rng_obj, np.angle(-z))
-            # golden line search along the interpolated subspace path
-            def mod_at(s):
-                m = (1 - s) * c + s * target
-                q, _ = np.linalg.qr(m)
-                return abs(value(q[:, :r]))
-            ss = np.linspace(0.0, 1.0, 21)
-            vals = [mod_at(s) for s in ss]
-            s_best = ss[int(np.argmin(vals))]
-            if s_best == 0.0:
-                break
-            m = (1 - s_best) * c + s_best * target
-            c = np.linalg.qr(m)[0][:, :r]
-        z = abs(value(c))
-        if z < best_v:
-            best_v, best_c = z, c
-    return best_c, best_v
-
-
 @dataclass
 class BjResult:
     orthogonal: bool
     min_abs: float
-    witness_basis: np.ndarray | None
-    witness_residual: float | None
+    witness: np.ndarray | None          # a subgradient G at a with tr(G* b) ~ 0
+    witness_residual: float | None      # |tr(G* b)|
     refuting_lambda: complex | None
     refuting_norm: float | None
     inner: InnerRange
 
 
-def _witness_basis(rng_obj, seed=0):
-    desc = rng_obj.desc
-    cols = []
-    for j in desc.full_blocks:
-        lo, hi = desc.blocks.block_range(j)
-        cols.append(desc.eig_bases[j][:, : hi - lo])
-    residual = None
-    if desc.boundary is not None:
-        c, residual = _witness_isometry(rng_obj, seed=seed)
-        cols.append(desc.boundary.basis @ c)
-    else:
-        residual = abs(rng_obj.fixed_part)
-    return np.concatenate(cols, axis=1) if cols else None, residual
-
-
 def check_bj(a, b, p, k, tol=1e-8, seed=0):
     """Decide Birkhoff-James orthogonality of a to b in ||.||_(p,k).
 
-    True iff min |t| over T is <= tol.  A true verdict carries a witness basis
-    of k orthonormal eigenvectors (seed drives its search); a false one carries
-    a refuting lambda with ||a + lambda b|| < ||a||: the minimizer along the ray
-    of steepest descent.
+    True iff min |t| over T is <= tol.  A true verdict carries a witness: the
+    subgradient G at a nearest to tr(G* b) = 0 (face_min_norm over span_C{b}).
+    A false one carries a refuting lambda with ||a + lambda b|| < ||a||: the
+    minimizer along the ray of steepest descent.  The decision is
+    deterministic; seed is accepted for the shared check signature.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     spec = NormSpec.kyfan(p, k)
     na = norm(a, spec)
     if na == 0.0:
-        # the zero matrix is orthogonal to everything
+        # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
         triv = InnerRange(0.0, 0.0, 0.0, True)
-        return BjResult(True, 0.0, None, 0.0, None, None, triv)
+        return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, triv)
     rng_obj = inner_range(a, b, p, k)
     if rng_obj.min_abs <= tol:
-        basis, resid = _witness_basis(rng_obj, seed=seed)
-        return BjResult(True, rng_obj.min_abs, basis, resid, None, None, rng_obj)
+        nb = float(np.linalg.norm(b))
+        onb = [b / nb] if nb > 0.0 else []
+        face = face_min_norm(rng_obj.desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
+        resid = float(abs(np.vdot(face.g, b)))
+        return BjResult(True, rng_obj.min_abs, face.g, resid, None, None, rng_obj)
 
     # refute along e^{-i theta_min}: s -> ||a + s e^{-i theta_min} b|| is convex
     # with slope -min_abs < 0 at s = 0 and exceeds ||a|| past 2||a||/||b||
@@ -311,63 +262,8 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# orthogonality to a subspace: density-matrix certificates via Dykstra
+# orthogonality to a subspace: density-matrix certificates from the face routine
 # ---------------------------------------------------------------------------
-
-
-def _herm_basis(d):
-    """Orthonormal (trace inner product) basis of d x d Hermitian matrices.
-
-    Ordered to match _herm_to_vec: diagonal units, then real off-diagonal
-    symmetrizers, then imaginary ones, both in upper-triangle row-major order.
-    """
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            out.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1j / np.sqrt(2)
-            e[j, i] = -1j / np.sqrt(2)
-            out.append(e)
-    return out
-
-
-def _herm_to_vec(h):
-    d = h.shape[0]
-    idx = np.triu_indices(d, 1)
-    return np.concatenate([np.real(np.diag(h)),
-                           np.sqrt(2) * np.real(h[idx]),
-                           np.sqrt(2) * np.imag(h[idx])])
-
-
-def _vec_to_herm(v, d):
-    out = np.zeros((d, d), dtype=complex)
-    out[np.diag_indices(d)] = v[:d]
-    m = d * (d - 1) // 2
-    re = v[d:d + m] / np.sqrt(2)
-    im = v[d + m:d + 2 * m] / np.sqrt(2)
-    idx = np.triu_indices(d, 1)
-    out[idx] = re + 1j * im
-    out[idx[1], idx[0]] = re - 1j * im
-    return out
-
-
-def _simplex_project(w):
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    w = np.asarray(w, dtype=float)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, w.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(w - theta, 0.0, None)
 
 
 @dataclass
@@ -379,6 +275,7 @@ class DensityCertificate:
     dual_norm_bound: float
     iterations: int
     certificate_matrix: np.ndarray | None
+    residual_lower: float     # no certificate reaches below it: > tol proves infeasibility
 
 
 def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
@@ -386,8 +283,11 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
 
     Each T_i is PSD with unit trace, supported in the sigma_i(a)^2 eigenspace of
     A*A, and prefactor * sum_i T_i must land in the orthogonal complement of the
-    subspace.  Solved by Dykstra alternating projections between the spectral
-    simplices and that linear constraint, from the uniform-mixture start.
+    subspace.  face_min_norm finds the subgradient nearest to that complement
+    within max_iter oracle calls: the T_i are the rank-one eigenprojectors of
+    the full blocks and Q / r for each index of the boundary block.  Feasible
+    when its projection on the subspace is <= tol; residual_lower > tol proves
+    that no certificate exists.
     """
     a = as_matrix(a)
     if not isinstance(subspace, MatrixSubspace):
@@ -395,85 +295,25 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     desc = descriptor(a, p, k)
     if desc.at_zero:
         raise InvalidInputError("subspace_certificate needs A != 0")
+    face = face_min_norm(desc, subspace.onb, subspace.field, tol=tol, max_iter=max_iter)
 
-    blocks = desc.blocks
-    bidx = [blocks.block_of(i) for i in range(1, k + 1)]
-    dims = [desc.eig_bases[j].shape[1] for j in bidx]
-    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])])
-    nvar = int(offsets[-1])
-
-    pf_z = [desc.prefactor @ desc.eig_bases[j] for j in bidx]  # m x d_i slices
-
-    # rows of the linear map: coefficients of pf sum_i Z tau_i Z* against the ONB
-    rows = []
-    hbases = {d: _herm_basis(d) for d in set(dims)}
-    for e in subspace.onb:
-        row_c = np.zeros(nvar, dtype=complex)
-        for i, (j, d) in enumerate(zip(bidx, dims)):
-            zb = desc.eig_bases[j]
-            # <pf Z tau Z*, E> = tr(E* pf Z tau Z*) = tr((Z* E* pf Z) tau)
-            w = zb.conj().T @ e.conj().T @ pf_z[i]  # d x d
-            for t, hb in enumerate(hbases[d]):
-                row_c[offsets[i] + t] = np.trace(w @ hb)
-        if subspace.field == "complex":
-            rows.append(np.real(row_c))
-            rows.append(np.imag(row_c))
-        else:
-            rows.append(np.real(row_c))
-    L = np.array(rows) if rows else np.zeros((0, nvar))
-    if L.shape[0]:
-        # projection onto null(L): x - L^T (L L^T)^+ L x
-        lpinv = np.linalg.pinv(L @ L.T, rcond=1e-12)
-
-    def proj_affine(x):
-        if not L.shape[0]:
-            return x
-        return x - L.T @ (lpinv @ (L @ x))
-
-    def proj_simplices(x):
-        out = np.empty_like(x)
-        for i, d in enumerate(dims):
-            tau = _vec_to_herm(x[offsets[i]:offsets[i + 1]], d)
-            w, v = np.linalg.eigh((tau + tau.conj().T) / 2.0)
-            w = _simplex_project(w)
-            out[offsets[i]:offsets[i + 1]] = _herm_to_vec((v * w) @ v.conj().T)
-        return out
-
-    # uniform mixture start
-    x = np.concatenate([_herm_to_vec(np.eye(d) / d) for d in dims])
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    feasible = False
-    it = 0
-    y = x
-    for it in range(1, max_iter + 1):
-        y = proj_simplices(x + p_corr)
-        p_corr = x + p_corr - y
-        x_new = proj_affine(y + q_corr)
-        q_corr = y + q_corr - x_new
-        moved = np.linalg.norm(x_new - x)
-        x = x_new
-        resid = np.linalg.norm(L @ y) if L.shape[0] else 0.0
-        if resid <= tol:
-            feasible = True
-            break
-        if moved <= 1e-16 and it > 50:
-            break
-
-    taus = [_vec_to_herm(y[offsets[i]:offsets[i + 1]], d) for i, d in enumerate(dims)]
-    t_list = [desc.eig_bases[j] @ tau @ desc.eig_bases[j].conj().T
-              for j, tau in zip(bidx, taus)]
+    t_list = []
+    for j in desc.full_blocks:
+        lo, hi = desc.blocks.block_range(j)
+        t_list += [np.outer(z, z.conj()) for z in desc.eig_bases[j][:, : hi - lo].T]
+    if desc.boundary is not None:
+        zb, r = desc.boundary.basis, desc.boundary.required
+        t_list += [zb @ face.q @ zb.conj().T / r] * r
     cert = desc.prefactor @ sum(t_list)
     onto, _ = subspace.project(cert) if subspace.dim else (np.zeros_like(cert), cert)
     resid_perp = float(np.linalg.norm(onto))
     ata = a.conj().T @ a
-    sig2 = np.array([blocks.values[j] ** 2 for j in bidx])
+    sig2 = [desc.blocks.values[desc.blocks.block_of(i)] ** 2 for i in range(1, k + 1)]
     resid_eig = max(float(np.linalg.norm(ata @ t - s2 * t)) for t, s2 in zip(t_list, sig2))
-    bound = dual_norm(cert, NormSpec.kyfan(p, k))
     return DensityCertificate(
-        feasible=feasible and resid_perp <= max(tol, 1e-9) * 10,
-        T_list=t_list, residual_eig=resid_eig, residual_perp=resid_perp,
-        dual_norm_bound=bound, iterations=it, certificate_matrix=cert)
+        feasible=resid_perp <= tol, T_list=t_list, residual_eig=resid_eig,
+        residual_perp=resid_perp, dual_norm_bound=dual_norm(cert, NormSpec.kyfan(p, k)),
+        iterations=face.iterations, certificate_matrix=cert, residual_lower=face.lower)
 
 
 def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):

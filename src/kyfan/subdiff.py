@@ -12,6 +12,12 @@ Re tr(G* A) = ||A||_(p,k).
 
 At A = 0 the subdifferential is the whole dual unit ball; descriptors carry a
 distinguished variant flag for that case.
+
+Every certificate asks whether this face holds a G with P_S G = 0 for some
+subspace S: the face is prefactor (fixed projector + Z Q Z*) with Q in the
+fantope {0 <= Q <= I, tr Q = r} on the boundary block.  face_min_norm answers
+it for BJ witnesses, subspace certificates and best-approximation
+certificates alike.
 """
 
 from __future__ import annotations
@@ -213,3 +219,121 @@ def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
         zb = desc.boundary.basis
         val += top_eigsum(zb.conj().T @ h @ zb, desc.boundary.required)
     return val
+
+
+@dataclass
+class FaceMinimum:
+    """The subgradient in the face nearest to the complement of a subspace S."""
+
+    g: np.ndarray           # G = prefactor (fixed projector + Z q Z*)
+    q: np.ndarray           # boundary fantope element, d x d (0 x 0 on a singleton face)
+    weights: np.ndarray     # convex weights of the active atoms
+    atoms: list             # d x r isometries C_j with q = sum_j w_j C_j C_j*
+    residual: float         # ||P_S G||_F
+    lower: float            # conditional-gradient lower bound on min ||P_S G|| over the face
+    iterations: int         # linear-oracle calls
+
+
+def _corral_weights(v, w):
+    """Wolfe's minor cycles: convex weights of the min-norm point of the corral.
+
+    v holds the atoms as columns, w the current weights (the newest atom at 0).
+    Moves towards the affine min-norm point of the active atoms and drops every
+    atom whose weight reaches zero on the way, so the survivors stay affinely
+    independent.
+    """
+    active = np.ones(w.size, dtype=bool)
+    while True:
+        va = v[:, active]
+        # min ||va alpha|| subject to sum alpha = 1, as least squares in the
+        # differences to the first atom (normal equations would lose half the digits)
+        beta = np.linalg.lstsq(va[:, 1:] - va[:, :1], -va[:, 0], rcond=None)[0]
+        alpha = np.concatenate([[1.0 - np.sum(beta)], beta])
+        wa = w[active]
+        if np.all(alpha > 0.0):
+            w = np.zeros_like(w)
+            w[active] = alpha
+            return w
+        # walk from wa towards alpha until the first weight hits zero
+        out = np.flatnonzero(alpha <= 0.0)
+        gap = wa[out] - alpha[out]
+        ratio = np.where(gap > 0.0, wa[out] / np.where(gap > 0.0, gap, 1.0), 0.0)
+        j = int(np.argmin(ratio))
+        wa = np.clip(wa + ratio[j] * (alpha - wa), 0.0, None)
+        wa[out[j]] = 0.0
+        w[active] = wa
+        active &= w > 0.0
+
+
+def face_min_norm(desc, onb, field="complex", tol=0.0, max_iter=1000):
+    """Minimize ||P_S G||_F over the face {prefactor (fixed + Z Q Z*) : Q in the fantope}.
+
+    S is spanned by the orthonormal matrices onb over the field ("real" or
+    "complex"); the fantope is {0 <= Q <= I, tr Q = r} on the boundary block
+    (Overton & Womersley 1992).  Fully corrective conditional gradient from the
+    canonical extreme point: the linear oracle is the bottom-r eigenvectors of
+    the d x d compressed pairing, and each step moves to the exact min-norm
+    point of the active atoms (Wolfe), of which at most dim_R(S) + 1 stay
+    (Caratheodory).  Stops once the residual is <= tol, once the lower bound
+    exceeds tol (then no G in the face reaches it), once the two meet, or
+    after max_iter oracle calls.
+    """
+    if desc.at_zero:
+        raise InvalidInputError("the face is not enumerated at A = 0")
+    g_fixed = desc.prefactor @ desc.fixed_projector
+    e = np.array(onb, dtype=complex).reshape((len(onb),) + g_fixed.shape)
+    real = field == "real"
+    c0 = np.einsum("smn,mn->s", e.conj(), g_fixed)  # tr(E_s* G)
+
+    def coords(c):
+        return c.real if real else np.concatenate([c.real, c.imag])
+
+    if desc.boundary is None:
+        x = coords(c0)
+        res = float(np.linalg.norm(x))
+        return FaceMinimum(g_fixed, np.zeros((0, 0)), np.ones(1), [np.zeros((0, 0))],
+                           res, res, 0)
+
+    zb, r = desc.boundary.basis, desc.boundary.required
+    pz = desc.prefactor @ zb
+    comp = np.conj(e @ zb).transpose(0, 2, 1) @ pz  # Z* E_s* prefactor Z, one per E_s
+
+    def atom(c):
+        return coords(c0 + np.einsum("ia,sij,ja->s", c.conj(), comp, c))
+
+    def oracle(x):
+        cx = x if real else x[: len(onb)] + 1j * x[len(onb):]
+        h = np.tensordot(cx.conj(), comp, axes=1)
+        return np.linalg.eigh((h + h.conj().T) / 2.0)[1][:, :r]
+
+    atoms = [np.eye(zb.shape[1], r, dtype=complex)]
+    v = atom(atoms[0])[:, None]
+    w = np.ones(1)
+    x = v[:, 0]
+    # round-off floor of a coordinate tr(E_s* G): ||G||_F <= ||prefactor||_F
+    floor = 1e-14 * np.linalg.norm(desc.prefactor)
+    lower, it = 0.0, 0
+    while it < max_iter:
+        res = float(np.linalg.norm(x))
+        if res <= tol:
+            break
+        it += 1
+        c = oracle(x)
+        s = atom(c)
+        # every G in the face has <x, P_S G> >= <x, s>, hence ||P_S G|| >= <x, s>/||x||
+        lower = max(lower, float(x @ s) / res)
+        if lower > tol or res - lower <= floor:
+            break
+        v_new = np.concatenate([v, s[:, None]], axis=1)
+        w_new = _corral_weights(v_new, np.append(w, 0.0))
+        keep = np.flatnonzero(w_new > 0.0)
+        x_new = v_new[:, keep] @ w_new[keep]
+        # an affinely independent corral has at most dim_R + 1 atoms (Caratheodory);
+        # more, or no descent, means round-off has taken over
+        if keep.size > v.shape[0] + 1 or np.linalg.norm(x_new) >= res:
+            break
+        atoms = [(atoms + [c])[i] for i in keep]
+        v, w, x = v_new[:, keep], w_new[keep], x_new
+    q = sum(wi * (c @ c.conj().T) for wi, c in zip(w, atoms))
+    g = g_fixed + pz @ q @ zb.conj().T
+    return FaceMinimum(g, q, w, atoms, float(np.linalg.norm(x)), lower, it)

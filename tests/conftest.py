@@ -23,6 +23,26 @@ def rand_with_sigma(rng, sigma, m=None, n=None):
     return q1 @ d @ q2.conj().T
 
 
+def tied_probe(rng, count):
+    """Yield (a, p, g0): sigma_2 = sigma_3 = sigma_4 (n = 4..6), k = 2, and g0 an
+    extreme point sampled from the face, so the fantope part of the face is free."""
+    from kyfan.subdiff import descriptor, sample_extreme
+
+    for t in range(count):
+        n = 4 + t % 3
+        sigma = np.sort(rng.uniform(0.3, 3.0, n))[::-1]
+        sigma[2] = sigma[3] = sigma[1]
+        a = rand_with_sigma(rng, sigma)
+        p = (2.0, 3.0, 4.0)[t % 3]
+        yield a, p, sample_extreme(descriptor(a, p, 2), seed=t)
+
+
+def orthogonal_to(rng, g):
+    """A random matrix b with tr(g* b) = 0."""
+    c = rand_complex(rng, *g.shape)
+    return c - (np.vdot(g, c) / np.vdot(g, g)) * g
+
+
 def fd_derivative(a, x, spec, t=1e-6):
     """One-sided finite difference of the norm along x."""
     return (norm(a + t * x, spec) - norm(a, spec)) / t

@@ -149,7 +149,8 @@ def test_certify_spectral_needs_mixture():
     res = best_approx(A31, SPAN_I3, NormSpec.spectral(), starts=8, seed=0)
     cert = certify_best(A31, SPAN_I3, NormSpec.spectral(), res)
     assert cert.found and not cert.singleton
-    assert cert.atoms_used >= 2
+    assert cert.atoms_used >= 2 and abs(np.sum(cert.weights) - 1.0) <= 1e-12
+    assert 0.0 <= cert.residual_lower <= cert.residual_perp
     assert abs(np.trace(cert.f_matrix)) <= 1e-7
 
 
@@ -157,6 +158,7 @@ def test_certify_rejects_suboptimal_point():
     cert = certify_best(A31, SPAN_I3, NormSpec.schatten(2), np.zeros((3, 3)))
     assert not cert.found
     assert cert.residual_perp > 1e-3
+    assert cert.residual_lower > 1e-7  # a proof that Y = 0 is not optimal
 
 
 def test_certify_global_spot_check(rng):

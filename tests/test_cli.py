@@ -291,7 +291,7 @@ def test_ortho_bj_verdicts(capsys, files):
                        "--other", files["x011"], "--norm", "kyfan:p=2,k=1")
     payload = json.loads(out)
     assert code == 0 and payload["orthogonal"] is True
-    assert payload["witness_basis"] is not None
+    assert payload["witness"] is not None
 
 
 def test_ortho_eps_and_parallel(capsys, files):
@@ -327,6 +327,7 @@ def test_ortho_subspace_certificate(capsys, files):
     assert code == 0
     assert payload["feasible"] and payload["verified"]
     assert payload["residual_perp"] <= 1e-8
+    assert 0.0 <= payload["residual_lower"] <= payload["residual_perp"] + 1e-12
     assert payload["dual_norm_bound"] <= 1.0 + 1e-8
     t0 = parse_matrix_obj(payload["density_matrices"][0], "t")
     assert abs(np.trace(t0) - 1.0) <= 1e-8

@@ -12,9 +12,10 @@ from kyfan.ortho import (
     subspace_certificate,
     verify_certificate,
 )
-from kyfan.subdiff import canonical_extreme, descriptor, dir_derivative, sample_extreme
+from kyfan.subdiff import (canonical_extreme, descriptor, dir_derivative, membership,
+                           sample_extreme)
 
-from conftest import lambda_min_norm, rand_complex
+from conftest import lambda_min_norm, orthogonal_to, rand_complex, tied_probe
 
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -72,15 +73,28 @@ def test_check_bj_zero_matrix(rng):
     assert check_bj(np.zeros((2, 2)), rand_complex(rng, 2, 2), p=2, k=1).orthogonal
 
 
-def test_check_bj_witness_basis(rng):
-    # a true verdict carries k orthonormal eigenvectors of A*A
+def test_check_bj_witness(rng):
+    # a true verdict carries a subgradient G with tr(G* B) = 0, supported on the
+    # top eigenvectors of A*A
     a = np.diag([1.0, 0.0])
     res = check_bj(a, E21, p=2, k=1)
-    w = res.witness_basis
-    assert w is not None and w.shape[1] == 1
-    assert abs(np.linalg.norm(w[:, 0]) - 1.0) <= 1e-9
+    w = res.witness
+    assert w is not None and w.shape == a.shape
+    assert membership(a, 2, 1, w)
+    assert res.witness_residual <= 1e-14
     ata = a.conj().T @ a
-    assert np.linalg.norm(ata @ w - w * 1.0) <= 1e-8
+    assert np.linalg.norm(w @ ata - w * 1.0) <= 1e-8
+
+
+def test_check_bj_witness_on_tied_faces(rng):
+    # the orthogonal subgradient lies inside the fantope part of the face
+    for t, (a, p, g0) in enumerate(tied_probe(rng, 30)):
+        b = orthogonal_to(rng, g0)
+        res = check_bj(a, b, p, 2)
+        assert res.orthogonal, t
+        assert membership(a, p, 2, res.witness), t
+        assert res.witness_residual == abs(np.vdot(res.witness, b))
+        assert res.witness_residual <= 1e-10 * np.linalg.norm(b), (t, res.witness_residual)
 
 
 def test_check_bj_matches_lambda_grid(rng):
@@ -276,6 +290,58 @@ def test_certificate_agrees_with_check_bj(rng):
         assert cert.feasible == bj.orthogonal, t
         agree += 1
     assert agree >= 5
+
+
+def test_certificate_respects_the_fantope():
+    # sigma_1 = sigma_2 fill k = 2, so the face is the one G = diag(1, 1, 0)/sqrt(2):
+    # T_1 + T_2 must be the projector on the tied block, not 2 e2 e2*.  Indeed
+    # ||A - diag(1, 0, 0)|| = 1.118 < ||A|| = 1.414.
+    a = np.diag([1.0, 1.0, 0.5])
+    e = np.diag([1.0, 0.0, 0.0])
+    cert = subspace_certificate(a, MatrixSubspace([e], field="complex"), p=2, k=2)
+    assert not cert.feasible
+    assert cert.dual_norm_bound <= 1.0 + 1e-12
+    assert cert.residual_lower > 1e-9  # no certificate exists
+    assert not check_bj(a, e, 2, 2).orthogonal
+
+
+def test_certificate_agrees_with_check_bj_on_tied_faces(rng):
+    for t, (a, p, g0) in enumerate(tied_probe(rng, 20)):
+        b = orthogonal_to(rng, g0) if t % 2 == 0 else rand_complex(rng, *a.shape)
+        bj = check_bj(a, b, p, 2)
+        cert = subspace_certificate(a, MatrixSubspace([b]), p, 2, max_iter=1000)
+        assert cert.feasible == bj.orthogonal, t
+        if not cert.feasible:
+            assert cert.residual_lower > 1e-9, t
+        basis = [orthogonal_to(rng, g0) for _ in range(2)]
+        sub = MatrixSubspace(basis)
+        cert = subspace_certificate(a, sub, p, 2, max_iter=1000)
+        assert cert.feasible and verify_certificate(a, sub, p, 2, cert, seed=t)[0], t
+        for e in basis + [basis[0] - 2j * basis[1]]:
+            assert check_bj(a, e, p, 2).orthogonal, t
+
+
+def test_verdicts_survive_the_symmetries(rng):
+    # unitary factors, A -> cA, transposition and conjugation leave the BJ
+    # verdict, the witness residual and the subspace verdict unchanged
+    for t, (a, p, g0) in enumerate(tied_probe(rng, 6)):
+        n = a.shape[0]
+        u, v = (np.linalg.qr(rand_complex(rng, n, n))[0] for _ in range(2))
+        if t % 2 == 0:
+            b, basis = orthogonal_to(rng, g0), [orthogonal_to(rng, g0) for _ in range(2)]
+        else:
+            b, basis = rand_complex(rng, n, n), [rand_complex(rng, n, n) for _ in range(2)]
+        want = check_bj(a, b, p, 2)
+        want_cert = subspace_certificate(a, MatrixSubspace(basis), p, 2).feasible
+        for f in (lambda x: x, lambda x: u @ x @ v, np.transpose, np.conj):
+            for c in (1e-8, 1.0, 1e8):
+                res = check_bj(c * f(a), f(b), p, 2)
+                assert res.orthogonal == want.orthogonal, (t, c)
+                if want.orthogonal:
+                    gap = abs(res.witness_residual - want.witness_residual)
+                    assert gap <= 1e-10 * np.linalg.norm(b), (t, c)
+                sub = MatrixSubspace([f(e) for e in basis])
+                assert subspace_certificate(c * f(a), sub, p, 2).feasible == want_cert, (t, c)
 
 
 def test_verify_rejects_tampered_certificates():

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+from kyfan.core import MatrixSubspace
+
 from kyfan.errors import InvalidInputError, UnsupportedError
 from kyfan.norms import NormSpec, dual_norm, norm
 from kyfan.subdiff import (
     canonical_extreme,
     descriptor,
     dir_derivative,
+    face_min_norm,
     membership,
     pairing_range_parts,
     sample_extreme,
     top_eigsum,
 )
 
-from conftest import fd_derivative, rand_complex, rand_with_sigma
+from conftest import fd_derivative, rand_complex, rand_with_sigma, tied_probe
 from helpers import trace_power_gradient
 
 
@@ -258,3 +261,33 @@ def test_trace_power_gradient_validation():
         trace_power_gradient(a, np.ones(2) / np.sqrt(2), p=3)  # not an eigenvector
     with pytest.raises(InvalidInputError):
         trace_power_gradient(a, np.array([1.0, 0.0]), p=2)
+
+
+def test_face_min_norm_bounds_and_atom_cap(rng):
+    # S real- or complex-orthogonal to a sampled extreme point, or random: the
+    # point found is a subgradient, its residual is ||P_S G||, the lower bound
+    # never passes it, and at most dim_R(S) + 1 atoms stay active
+    found = 0
+    for t, (a, p, g0) in enumerate(tied_probe(rng, 24)):
+        dim, field = 1 + t % 3, ("complex", "real")[t % 2]
+        basis = []
+        for _ in range(dim):
+            c = rand_complex(rng, *a.shape)
+            if t % 4 < 3:
+                ip = np.vdot(g0, c)
+                c = c - ((ip.real if field == "real" else ip) / np.vdot(g0, g0).real) * g0
+            basis.append(c)
+        sub = MatrixSubspace(basis, field=field)
+        face = face_min_norm(descriptor(a, p, 2), sub.onb, field, tol=1e-9, max_iter=1000)
+        assert membership(a, p, 2, face.g), t
+        assert abs(face.residual - np.linalg.norm(sub.project(face.g)[0])) <= 1e-12, t
+        assert 0.0 <= face.lower <= face.residual + 1e-12, t
+        assert len(face.atoms) <= (1 if field == "real" else 2) * dim + 1, t
+        assert np.all(face.weights > 0) and abs(np.sum(face.weights) - 1.0) <= 1e-12
+        q = sum(w * (c @ c.conj().T) for w, c in zip(face.weights, face.atoms))
+        assert np.allclose(q, face.q, atol=1e-12)
+        if t % 4 < 3:
+            found += face.residual <= 1e-9
+        else:
+            assert face.lower > 1e-9, t  # a random subspace: proved infeasible
+    assert found == 18
