@@ -41,11 +41,14 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
                 grid_dim_limit=2, extra_coeffs=None):
     """Minimize ||A - Y||_spec over Y in the subspace.
 
-    Multi-start subgradient descent with smooth polish, stopped once the
-    duality-gap bracket closes (trace["duality_gap"] is its width).  While it is
-    open, Nelder-Mead runs and subspaces of dimension <= grid_dim_limit get a
-    coarse-to-fine grid pass, which makes the low-dimensional solves
-    certifiable to near machine precision.
+    The start of least value (extra_coeffs included) is polished first, with
+    kink Newton steps for the sigma_1 norms, and the solve stops once the
+    duality-gap bracket closes: trace["duality_gap"] is its width,
+    trace["bound"] the bound that closed it ("hoelder" or "face") and
+    trace["iterations"] the Polyak steps run, 0 then.  Only while it stays
+    open do starts and iters act: multi-start subgradient descent, the polish
+    of the best finals with Nelder-Mead, and for subspaces of dimension
+    <= grid_dim_limit a coarse-to-fine grid pass.
     extra_coeffs seeds additional starts (warm starting across a parameter sweep).
     """
     a = as_matrix(a)
@@ -69,7 +72,7 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
         flags.append("unconverged")
     trace = {"starts": out.starts_run, "iterations": out.iterations,
              "start_gap": out.gap, "start_values": out.start_values[:8],
-             "duality_gap": out.duality_gap}
+             "duality_gap": out.duality_gap, "bound": out.bound}
     return ApproximationResult(coefficients=coeffs, y=y, value=out.value,
                                residual=residual, sigma=sigma, spec=spec,
                                converged=out.converged, trace=trace, flags=flags)
@@ -179,8 +182,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
 
     endpoints = []
     for x1 in starts:
-        x2, f2, _ = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1,
-                           obj.lower_bound)
+        x2, f2, _ = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1, obj)
         endpoints.append((f2, x2))
     best = min(f for f, _ in endpoints)
     keep = [coeffs_of_x(xv, sub)[0] for f, xv in endpoints

@@ -156,11 +156,13 @@ class BjResult:
 def check_bj(a, b, p, k, tol=1e-8, seed=0):
     """Decide Birkhoff-James orthogonality of a to b in ||.||_(p,k).
 
-    True iff min |t| over T is <= tol.  A true verdict carries a witness: the
-    subgradient G at a nearest to tr(G* b) = 0 (face_min_norm over span_C{b}).
-    A false one carries a refuting lambda with ||a + lambda b|| < ||a||: the
-    minimizer along the ray of steepest descent.  The decision is
-    deterministic; seed is accepted for the shared check signature.
+    True iff min |t| over T is <= tol ||b||_F, so that the verdict, like
+    orthogonality itself, does not change under b -> cb.  A true verdict
+    carries a witness: the subgradient G at a nearest to tr(G* b) = 0
+    (face_min_norm over span_C{b}).  A false one carries a refuting lambda
+    with ||a + lambda b|| < ||a||: the minimizer along the ray of steepest
+    descent.  The decision is deterministic; seed is accepted for the shared
+    check signature.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -171,8 +173,8 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
         triv = InnerRange(0.0, 0.0, 0.0, True)
         return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, triv)
     rng_obj = inner_range(a, b, p, k)
-    if rng_obj.min_abs <= tol:
-        nb = float(np.linalg.norm(b))
+    nb = float(np.linalg.norm(b))
+    if rng_obj.min_abs <= tol * nb:
         onb = [b / nb] if nb > 0.0 else []
         face = face_min_norm(rng_obj.desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
         resid = float(abs(np.vdot(face.g, b)))
@@ -201,8 +203,9 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     """Approximate orthogonality: ||a+zb||^2 >= ||a||^2 - 2 eps ||a|| ||zb|| for all z.
 
     Scalars z range over the mode's field.  Characterized by min |t| <= eps||b||
-    (complex) or min |Re t| <= eps||b|| (real) over the scalar set T.  The
-    decision is deterministic; seed is accepted for the shared check signature.
+    (complex) or min |Re t| <= eps||b|| (real) over the scalar set T, up to
+    tol ||b||_F.  The decision is deterministic; seed is accepted for the
+    shared check signature.
     """
     if not 0.0 <= eps < 1.0:
         raise InvalidInputError("eps must lie in [0, 1)")
@@ -218,7 +221,8 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     else:
         lo, hi = rng_obj.real_interval()
         attained = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return EpsBjResult(attained <= eps * nb + tol, eps, mode, attained, eps * nb, rng_obj)
+    return EpsBjResult(attained <= eps * nb + tol * float(np.linalg.norm(b)), eps, mode,
+                       attained, eps * nb, rng_obj)
 
 
 @dataclass

@@ -5,14 +5,18 @@ vector x of c.  Objective keeps one row per real coordinate (E_j, and iE_j
 after it for a complex field), so a residual and a pull-back are one matrix
 product each, on one point or on a stack of points.  Each point costs one SVD
 of the residual R = U diag(sigma) V*: it gives the value and, for p >= 2, the
-closed-form extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*.  The
-workhorse is multi-start Polyak-step subgradient descent on that fused value
-and subgradient, all starts in lockstep with one stacked SVD per step,
-followed by a smooth polish (BFGS with the exact gradient where the norm is
-differentiable).  Its last subgradient gives a Hoelder lower bound on the
-minimum; once the bracket [lower, f] is within GAP_TOL the solve stops.  Only
-while it is open (kinks, p < 2) do Nelder-Mead and, for low-dimensional
-subspaces, a coarse-to-fine grid pass evaluated with batched SVDs run.
+closed-form extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*.
+
+A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.
+The start of least value is polished first: BFGS with the exact gradient,
+then the lower bound (Hoelder from the last subgradient, or the face bound at
+a kink).  At a sigma_1 kink, where BFGS cannot reach the tie, Newton steps
+for the multiple eigenvalue (Overton 1988) land on it and the face bound
+closes there.  Only while the bracket stays open (p < 2, kinks the Newton
+step misses) do the budgets act: multi-start Polyak-step subgradient descent
+with all starts in lockstep and one stacked SVD per step, the polish of the
+best finals, Nelder-Mead and, for low-dimensional subspaces, a
+coarse-to-fine grid pass evaluated with batched SVDs.
 """
 
 from __future__ import annotations
@@ -22,10 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .norms import _sigma_norm
+from .norms import _sigma_norm, dual_norm
+from .subdiff import descriptor, face_min_norm
 
 # a solve stops once f - lower <= GAP_TOL * (1 + f)
 GAP_TOL = 1e-7
+# singular values within KINK_TOL * sigma_1 count as tied: the face bound takes
+# them as one face, the kink Newton step as one multiple eigenvalue
+KINK_TOL = 1e-4
+
+
+def closes(f, lower):
+    """Does the bracket [lower, f] prove f optimal to within GAP_TOL?"""
+    return f - lower <= GAP_TOL * (1.0 + f)
 
 
 def real_dim(subspace):
@@ -47,6 +60,23 @@ def x_of_coeffs(c, subspace):
         x[1::2] = np.imag(c)
         return x
     return np.real(c).astype(float)
+
+
+def _hermitian_basis(t):
+    """Orthonormal basis of the t x t Hermitian matrices under Re tr(X Y)."""
+    out = []
+    for a in range(t):
+        for b in range(a, t):
+            e = np.zeros((t, t), dtype=complex)
+            if a == b:
+                e[a, a] = 1.0
+                out.append(e)
+                continue
+            e[a, b] = e[b, a] = np.sqrt(0.5)
+            f = np.zeros((t, t), dtype=complex)
+            f[a, b], f[b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            out += [e, f]
+    return np.array(out)
 
 
 class Objective:
@@ -101,14 +131,85 @@ class Objective:
         return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
     def lower_bound(self, x, f, g):
-        """Lower bound on min f from f and the pulled-back subgradient g at x.
+        """Lower bound on min f at x from f and the pulled-back subgradient g there.
 
-        F = G - P_S G is orthogonal to the subspace, Re<F, A> = f + g.(a_x - x)
-        and ||F||_dual <= 1 + ||P_S G||_* <= 1 + sqrt(n0) ||g||, so by Hoelder
-        Re<F, A> / ||F||_dual <= ||A - Y|| for every Y in the subspace.
+        Returns (lower, kind).  Every F orthogonal to the subspace gives
+        Re<F, A> / ||F||_dual <= ||A - Y|| for all Y in it (Hoelder).  The
+        "hoelder" bound takes F = G - P_S G for the fused extreme subgradient G:
+        Re<F, A> = f + g.(a_x - x) and ||F||_dual <= 1 + sqrt(n0) ||g||, no SVD.
+        Where that leaves the bracket open, the "face" bound takes G in the face
+        at the residual, singular values grouped within KINK_TOL, with the least
+        ||P_S G|| (face_min_norm), and the exact dual norm of F.  At a kink
+        optimum the extreme G misses the orthogonal complement and this G meets
+        it; the grouping only decides how tight the bound is.  The face bound
+        counts only when ||P_S G|| is small enough to move it by at most
+        GAP_TOL (1 + f) / 2.  It is tight to second order in ||P_S G||, so it
+        would close earlier, but then at points that certify_best cannot
+        certify.  g exists only for p >= 2, where the face is described.
         """
-        scale = 1.0 + np.sqrt(min(self.a.shape)) * np.linalg.norm(g)
-        return max(0.0, float((f + g @ (self.a_x - x)) / scale))
+        n0 = min(self.a.shape)
+        low = max(0.0, float((f + g @ (self.a_x - x)) / (1.0 + np.sqrt(n0) * np.linalg.norm(g))))
+        if closes(f, low):
+            return low, "hoelder"
+        desc = descriptor(self.residual(x), self.p_eff, self.k_eff, tol=KINK_TOL)
+        tol = GAP_TOL * (1.0 + f) / (4.0 * np.sqrt(n0) * f)
+        face = face_min_norm(desc, self.subspace.onb, self.subspace.field, tol=tol, max_iter=40)
+        gx = (self.rows.conj() @ face.g.ravel()).real  # coordinates of P_S G
+        dual = dual_norm(face.g - (gx @ self.rows).reshape(self.a.shape), self.spec)
+        if face.residual <= tol and dual > 0.0:
+            face_low = float((np.vdot(face.g, self.a).real - gx @ self.a_x) / dual)
+            if face_low > low:
+                return face_low, "face"
+        return low, "hoelder"
+
+    def newton_step(self, x, mult=None):
+        """Newton step for sigma_1 = lambda_max(M(x)) at a multiple eigenvalue (Overton 1988).
+
+        M(x) = [[0, R], [R*, 0]] and M_i = dM/dx_i = -[[0, E_i], [E_i*, 0]].  With
+        M = Q diag(lambda) Q*, Q_1 the t eigenvectors within KINK_TOL of lambda_1
+        and Q_2 the rest, the step solves the KKT system of min omega + d.W d / 2
+        subject to Lambda_1 + sum_i d_i Q_1* M_i Q_1 = omega I:
+            W d + J^T u = 0,   tr U = 1,   J d - omega vec(I) = -vec(Lambda_1),
+        with W_ij = 2 Re tr(U C_i D C_j*), C_i = Q_1* M_i Q_2 and
+        D = diag(1 / (mean(lambda_1..t) - lambda_j)).  U is the t x t Hermitian
+        multiplier, u its coordinates in an orthonormal basis.  mult carries it
+        between calls as Q_1 U Q_1*, so that it follows the eigenvectors; W
+        takes its compression to the new Q_1, rescaled to trace 1, or I / t when
+        there is none.  Only valid for k_eff = 1.  Returns (d, new mult).
+        """
+        r = self.residual(x)
+        m, n = r.shape
+        mx = np.zeros((m + n, m + n), dtype=complex)
+        mx[:m, m:] = r
+        mx[m:, :m] = r.conj().T
+        lam, q = np.linalg.eigh(mx)
+        lam, q = lam[::-1], q[:, ::-1]
+        t = int(np.sum(lam >= lam[0] - KINK_TOL * lam[0]))
+        q1 = q[:, :t]
+        u = np.eye(t) / t
+        if mult is not None:
+            uc = q1.conj().T @ mult @ q1
+            if np.trace(uc).real > 0.0:
+                u = uc / np.trace(uc).real
+        xi = q[:m].conj().T @ self.rows.reshape(-1, m, n) @ q[m:]
+        qmq = -(xi + xi.conj().transpose(0, 2, 1))  # Q* M_i Q, one per coordinate
+        c = qmq[:, :t, t:]
+        dinv = 1.0 / (np.mean(lam[:t]) - lam[t:])
+        w = 2.0 * np.einsum("iab,b,jab->ij", u @ c, dinv, c.conj()).real
+        basis = _hermitian_basis(t)
+        jac = np.einsum("kab,iba->ki", basis, qmq[:, :t, :t]).real  # Re tr(B_k J_i)
+        eye = np.trace(basis, axis1=1, axis2=2).real
+        lam1 = np.einsum("kaa,a->k", basis, lam[:t]).real
+        d, h = len(x), len(basis)
+        kkt = np.zeros((d + 1 + h, d + 1 + h))
+        kkt[:d, :d] = w
+        kkt[:d, d + 1:] = jac.T
+        kkt[d, d + 1:] = eye
+        kkt[d + 1:, :d] = jac
+        kkt[d + 1:, d] = -eye
+        rhs = np.concatenate([np.zeros(d), [1.0], -lam1])
+        z = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        return z[:d], q1 @ np.tensordot(z[d + 1:], basis, axes=1) @ q1.conj().T
 
 
 def polyak_descent(fg, x0, iters=150):
@@ -141,11 +242,15 @@ def polyak_descent(fg, x0, iters=150):
     return best_x, best_f
 
 
-def polish(fun, fg, x0, lower=None):
+def polish(fun, fg, x0, obj=None):
     """Local refinement: BFGS on fg (value and gradient) when given, then Nelder-Mead on fun.
 
-    Returns (x, f, low); low = lower(x, f, g) at BFGS's final point, when it
-    closes the bracket and Nelder-Mead is skipped, else None."""
+    obj, when given, is the Objective that fun and fg evaluate.  Its bracket
+    is checked at BFGS's final point and, for sigma_1 norms (k_eff = 1),
+    after each accepted kink Newton step; the first that closes ends the
+    polish.  Returns (x, f, bracket) with bracket = (lower, kind) from
+    obj.lower_bound when it closed, else None after Nelder-Mead.
+    """
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = fun(best_x)
     if best_x.size == 0:
@@ -158,15 +263,43 @@ def polish(fun, fg, x0, lower=None):
             res = None
         if res is not None and res.fun <= best_f:
             best_x, best_f = np.asarray(res.x), float(res.fun)
-            low = None if lower is None else lower(best_x, best_f, res.jac)
-            if low is not None and best_f - low <= GAP_TOL * (1.0 + best_f):
-                return best_x, best_f, low
+            if obj is not None:
+                bracket = obj.lower_bound(best_x, best_f, res.jac)
+                if closes(best_f, bracket[0]):
+                    return best_x, best_f, bracket
+                if obj.k_eff == 1:
+                    best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
+                    if bracket is not None:
+                        return best_x, best_f, bracket
     res = minimize(fun, best_x, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15,
                             "maxiter": 400 * best_x.size, "maxfev": 400 * best_x.size})
     if res.fun < best_f:
         best_x, best_f = np.asarray(res.x), float(res.fun)
     return best_x, best_f, None
+
+
+def kink_newton(obj, x, f):
+    """Up to 12 Objective.newton_step steps from x, carrying the multiplier.
+
+    The iterates are not monotone in f: a step that lands a little off the tie
+    manifold raises f by its second-order error, and the next one recovers.
+    So every step is taken, and a point is accepted when f does not rise
+    above round-off of the best accepted value; the bracket is checked there.
+    Returns (x, f, bracket) at the first accepted point whose bracket closes,
+    else (best point, its value, None).
+    """
+    mult, y = None, x
+    for _ in range(12):
+        d, mult = obj.newton_step(y, mult)
+        y = y + d
+        fy, g = obj.value_and_grad(y)
+        if fy <= f * (1.0 + 1e-14):
+            x, f = y, fy
+            bracket = obj.lower_bound(x, f, g)
+            if closes(f, bracket[0]):
+                return x, f, bracket
+    return x, f, None
 
 
 def grid_refine(fun_many, center, halfwidth, levels=None):
@@ -200,10 +333,11 @@ class MultiStartOutcome:
     value: float
     start_values: list
     starts_run: int
-    iterations: int
+    iterations: int     # Polyak steps run: 0 when the first polish closed the bracket
     gap: float          # best vs worst start after local work
     converged: bool
     duality_gap: float | None  # value - lower bound when the bracket closed
+    bound: str | None          # the bound that closed it: "hoelder" or "face"
 
 
 def default_starts(obj, starts, seed):
@@ -220,39 +354,52 @@ def default_starts(obj, starts, seed):
 
 def multistart_minimize(obj, starts=50, iters=150, seed=0, grid_dim_limit=2,
                         extra_starts=()):
-    """Full pipeline on an Objective; deterministic for fixed inputs."""
+    """Full pipeline on an Objective; deterministic for fixed inputs.
+
+    The problem is convex, so a polished point whose bracket closes is optimal:
+    the start of least value is polished first.  Only while its bracket stays
+    open do starts and iters act as budgets: all starts descend in lockstep,
+    the best finals are polished in order until a bracket closes, and
+    subspaces of dimension <= grid_dim_limit get the grid pass.  Without
+    subgradients (p < 2) the polish of 8 starts does all the work.
+    """
     xs = np.array(default_starts(obj, starts, seed) + list(extra_starts), dtype=float)
-    smooth = obj.smooth
-    if smooth:
-        x1s, f1s = polyak_descent(obj.value_and_grad, xs, iters=iters)
-    else:
-        x1s, f1s = xs, obj.value_many(xs)
-    finals = [(float(f1s[i]), x1s[i]) for i in np.argsort(f1s, kind="stable")]
-    # polish the best starts; without subgradients the polish does all the work
-    fg = obj.value_and_grad if smooth else None
-    polished = [polish(obj.value, fg, x1, obj.lower_bound)
-                for _, x1 in finals[: 3 if smooth else 8]]
+    fs = obj.value_many(xs)
+    fg = obj.value_and_grad if obj.smooth else None
+    polished, steps = [], 0
+    if obj.smooth:
+        polished.append(polish(obj.value, fg, xs[np.argmin(fs)], obj))
+        if polished[0][2] is None:
+            xs, fs = polyak_descent(fg, xs, iters=iters)
+            steps = iters
+    finals = [(float(fs[i]), xs[i]) for i in np.argsort(fs, kind="stable")]
+    if not polished or polished[0][2] is None:
+        for _, x1 in finals[: 3 if obj.smooth else 8]:
+            polished.append(polish(obj.value, fg, x1, obj))
+            if polished[-1][2] is not None:
+                break
     best_f, best_x = min([(f, x) for x, f, _ in polished] + finals, key=lambda t: t[0])
-    lows = [low for _, _, low in polished if low is not None]
+    brackets = [b for _, _, b in polished if b is not None]
 
     # a closed bracket proves optimality; the grid pass is for an open one
     used_grid = False
-    if not lows and obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
+    if not brackets and obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
         used_grid = True
         halfwidth = 2.0 * (1.0 + np.linalg.norm(best_x) + np.linalg.norm(obj.a))
         gx, gf = grid_refine(obj.value_many, best_x, halfwidth)
         if gf < best_f:
             best_x, best_f = gx, gf
-        x2, f2, low = polish(obj.value, fg, best_x, obj.lower_bound)
+        x2, f2, bracket = polish(obj.value, fg, best_x, obj)
         if f2 < best_f:
             best_x, best_f = x2, f2
-        lows += [] if low is None else [low]
+        brackets += [] if bracket is None else [bracket]
 
     start_vals = [f for f, _ in finals]
     gap = float(start_vals[-1] - start_vals[0]) if start_vals else 0.0
     near = sum(1 for f in start_vals if f <= best_f + 1e-5 * (1.0 + abs(best_f)))
-    converged = bool(lows) or used_grid or near >= min(3, len(start_vals))
+    converged = bool(brackets) or used_grid or near >= min(3, len(start_vals))
+    low, kind = max(brackets, key=lambda b: b[0]) if brackets else (None, None)
     return MultiStartOutcome(
         x=best_x, value=float(best_f), start_values=start_vals,
-        starts_run=len(xs), iterations=iters, gap=gap, converged=converged,
-        duality_gap=float(best_f - max(lows)) if lows else None)
+        starts_run=len(xs), iterations=steps, gap=gap, converged=converged,
+        duality_gap=None if low is None else float(best_f - low), bound=kind)

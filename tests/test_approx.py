@@ -61,7 +61,9 @@ def test_best_approx_matches_grid_oracle(rng):
 def test_best_approx_trace_and_sigma():
     res = best_approx(A31, SPAN_I3, NormSpec.schatten(2), starts=6, seed=0)
     assert set(res.trace) == {"starts", "iterations", "start_gap", "start_values",
-                              "duality_gap"}
+                              "duality_gap", "bound"}
+    # the Frobenius optimum is smooth: the first polish closes on the Hoelder bound
+    assert res.trace["iterations"] == 0 and res.trace["bound"] == "hoelder"
     s = np.linalg.svd(res.residual, compute_uv=False)
     assert np.allclose(res.sigma, s)
     assert abs(res.value - norm(res.residual, res.spec)) <= 1e-12
@@ -365,3 +367,21 @@ def test_pk_check_gap_unmet_not_applicable():
                                   p=2, k=2, trials=4, seed=0)
     assert not rep.applicable
     assert rep.passed
+
+
+def test_certify_best_certifies_every_kink_solve(rng):
+    """2x2 complex dim-2 spectral instances often have their optimum at a kink
+    (sigma_1 = sigma_2).  Every solve, whatever the seed and start count, must
+    land on a point certify_best can certify: the kink Newton step makes the
+    tie exact and the face bound closes only at a certifiable point."""
+    failed = []
+    for i in range(10):
+        a = rand_complex(rng, 2, 2)
+        sub = MatrixSubspace([rand_complex(rng, 2, 2) for _ in range(2)], field="complex")
+        for seed in range(4):
+            for starts in (3, 6):
+                res = best_approx(a, sub, NormSpec.spectral(), starts=starts, seed=seed)
+                cert = certify_best(a, sub, NormSpec.spectral(), res)
+                if not cert.found:
+                    failed.append((i, seed, starts, cert.residual_perp))
+    assert failed == []

@@ -168,20 +168,20 @@ def _matrix3(rows):
 
 
 def test_forced_nonconvergence_exits_3(capsys, tmp_path):
-    # dim-3 subspace: no grid rescue; sigma_1 of the optimal residual is tied
-    # (a kink), so no duality-gap bracket closes and one iteration cannot converge
+    # the trace norm (p < 2) has no bracket and a dim-3 subspace no grid
+    # rescue, so two starts that end apart cannot converge
     a = tmp_path / "a.json"
     a.write_text(json.dumps(_matrix3([[2, 1, 0], [-2, -1, -3], [-3, -3, -2]])))
     p = tmp_path / "sub3.json"
     p.write_text(json.dumps({"field": "complex", "basis": [_matrix3(b) for b in (
         [[2, 1, 2], [0, 1, 2], [1, 1, 0]], [[0, 2, -1], [2, 1, -2], [-1, 2, 0]],
         [[-2, 1, 1], [2, -2, -2], [2, -2, 0]])]}))
-    code, out, _ = run(capsys, "strict", "--matrix", str(a), "--subspace", str(p),
-                       "--starts", "2", "--max-iter", "1")
+    code, out, _ = run(capsys, "approx", "--matrix", str(a), "--subspace", str(p),
+                       "--norm", "trace", "--starts", "2", "--max-iter", "1")
     assert code == 3
     payload = json.loads(out)
     assert payload["flags"] and not payload["converged"]
-    assert "stages" in payload  # partial result still emitted
+    assert "value" in payload  # partial result still emitted
     code, out, _ = run(capsys, "strict", "--matrix", str(a), "--subspace", str(p))
     assert code == 0 and json.loads(out)["converged"]
 
@@ -347,8 +347,9 @@ def test_approx_payload_and_certify(capsys, files):
     assert payload["certificate"]["found"]
     assert payload["certificate"]["residual_perp"] <= 1e-7
     assert payload["converged"] and payload["flags"] == []
-    # the Frobenius optimum closes the duality-gap bracket
+    # the Frobenius optimum closes the duality-gap bracket in the first polish
     assert abs(payload["trace"]["duality_gap"]) <= 1e-7 * (1.0 + payload["value"])
+    assert payload["trace"]["bound"] == "hoelder" and payload["trace"]["iterations"] == 0
     assert run(capsys, "approx", "--matrix", files["a3"], "--subspace", files["sub_i3"],
                "--norm", "schatten:p=2", "--certify")[1] == out
 

@@ -322,8 +322,9 @@ def test_certificate_agrees_with_check_bj_on_tied_faces(rng):
 
 
 def test_verdicts_survive_the_symmetries(rng):
-    # unitary factors, A -> cA, transposition and conjugation leave the BJ
-    # verdict, the witness residual and the subspace verdict unchanged
+    # unitary factors, A -> cA, B -> cB, transposition and conjugation leave
+    # the BJ and eps-BJ verdicts, the witness residual (scaled with B) and the
+    # subspace verdict unchanged
     for t, (a, p, g0) in enumerate(tied_probe(rng, 6)):
         n = a.shape[0]
         u, v = (np.linalg.qr(rand_complex(rng, n, n))[0] for _ in range(2))
@@ -342,6 +343,13 @@ def test_verdicts_survive_the_symmetries(rng):
                     assert gap <= 1e-10 * np.linalg.norm(b), (t, c)
                 sub = MatrixSubspace([f(e) for e in basis])
                 assert subspace_certificate(c * f(a), sub, p, 2).feasible == want_cert, (t, c)
+                res = check_bj(f(a), c * f(b), p, 2)
+                assert res.orthogonal == want.orthogonal, (t, "cB", c)
+                if want.orthogonal:
+                    gap = abs(res.witness_residual - c * want.witness_residual)
+                    assert gap <= 1e-10 * c * np.linalg.norm(b), (t, "cB", c)
+                eps0 = check_eps_bj(f(a), c * f(b), p, 2, eps=0.0)
+                assert eps0.satisfied == want.orthogonal, (t, "cB", c)
 
 
 def test_verify_rejects_tampered_certificates():

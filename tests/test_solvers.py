@@ -10,7 +10,7 @@ from kyfan import solvers
 from kyfan.approx import _penalty, best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, norm
-from kyfan.solvers import GAP_TOL, Objective, polish, polyak_descent, x_of_coeffs
+from kyfan.solvers import GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
@@ -241,8 +241,9 @@ def test_lockstep_descent_makes_one_svd_per_step(rng, monkeypatch):
 
 
 def test_best_approx_descent_svd_count(rng, monkeypatch):
-    """All starts of best_approx descend together: outside the polish, a
-    dim-3 solve (no grid) makes one SVD per step plus the final residual's."""
+    """A smooth dim-3 solve (no grid) closes its bracket in the polish of the
+    best start: one polish, and outside it no more SVDs than one per descent
+    step plus the final residual's."""
     a = rand_complex(rng, 3, 3)
     sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(3)], field="real")
     calls = count_svd(monkeypatch)
@@ -256,7 +257,7 @@ def test_best_approx_descent_svd_count(rng, monkeypatch):
 
     monkeypatch.setattr(solvers, "polish", counted_polish)
     best_approx(a, sub, NormSpec.kyfan(3, 2), starts=6, iters=150)
-    assert len(in_polish) == 3
+    assert len(in_polish) == 1
     assert len(calls) - sum(in_polish) <= 151 + 1 < 6 * 151
 
 
@@ -269,22 +270,32 @@ BRACKET_SPECS = [NormSpec.spectral(), NormSpec.kyfan(3, 2), NormSpec.kyfan(2, 1)
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_lower_bound_never_exceeds_the_minimum(rng, field):
     """Objective.lower_bound at points near the optimum and near and far from
-    P_S A stays below every value the solver reaches."""
+    P_S A stays below every value the solver reaches.  A Hermitian matrix
+    against span{I} has a kink optimum in the sigma_1 norms, and so do some of
+    the random complex instances; near them the face bound takes over, and it
+    must stay sound there too."""
+    m = rand_complex(rng, 3, 3) if field == "complex" else rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(m)
+    tied = ((q * np.array([1.7, -0.4, -1.1])) @ q.conj().T,
+            MatrixSubspace([np.eye(3)], field=field))  # sigma_1 tied at the optimum
+    kinds = []
     for spec in BRACKET_SPECS:
-        for _ in range(3):
-            a = rand_complex(rng, 3, 3)
-            sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field=field)
+        cases = [(rand_complex(rng, 3, 3),
+                  MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field=field))
+                 for _ in range(3)]
+        for a, sub in cases + [tied]:
             obj = Objective(a, sub, spec)
             res = best_approx(a, sub, spec, starts=6, seed=1)
             best = x_of_coeffs(res.coefficients, sub)
             d = best.size
-            points = [best, best + 1e-6 * rng.standard_normal(d),
-                      best + 1e-3 * rng.standard_normal(d)]
+            points = [best] + [best + t * rng.standard_normal(d) for t in (1e-9, 1e-7, 1e-6, 1e-3)]
             points += [obj.a_x + t * rng.standard_normal(d) for t in (0.01, 0.1, 1.0, 3.0, 10.0)]
             for x in points:
                 f, g = obj.value_and_grad(x)
-                lower = obj.lower_bound(x, f, g)
+                lower, kind = obj.lower_bound(x, f, g)
+                kinds.append(kind)
                 assert 0.0 <= lower <= res.value + 1e-12 * (1.0 + res.value), spec
+    assert "face" in kinds
 
 
 def test_bracket_closes_at_least_squares_point(rng):
@@ -293,9 +304,10 @@ def test_bracket_closes_at_least_squares_point(rng):
     sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field="complex")
     obj = Objective(a, sub, NormSpec.schatten(2))
     f, g = obj.value_and_grad(obj.a_x)
-    assert abs(f - obj.lower_bound(obj.a_x, f, g)) <= 1e-13 * f
-    _, f2, low = polish(obj.value, obj.value_and_grad, obj.a_x, obj.lower_bound)
-    assert low is not None and abs(f2 - low) <= GAP_TOL * (1.0 + f2)
+    lower, kind = obj.lower_bound(obj.a_x, f, g)
+    assert abs(f - lower) <= 1e-13 * f and kind == "hoelder"
+    _, f2, bracket = polish(obj.value, obj.value_and_grad, obj.a_x, obj)
+    assert bracket is not None and abs(f2 - bracket[0]) <= GAP_TOL * (1.0 + f2)
 
 
 def count_local_work(monkeypatch):
@@ -314,22 +326,37 @@ def test_smooth_optimum_stops_on_the_bracket(rng, monkeypatch):
     spec = NormSpec.schatten(4)
     methods, grids = count_local_work(monkeypatch)
     res = best_approx(a, sub, spec, starts=6, seed=0)
-    assert "Nelder-Mead" not in methods and methods.count("BFGS") == 3
-    assert grids == []
+    assert "Nelder-Mead" not in methods and methods.count("BFGS") == 1
+    assert grids == [] and res.trace["iterations"] == 0
     assert res.converged and abs(res.trace["duality_gap"]) <= GAP_TOL * (1.0 + res.value)
     assert certify_best(a, sub, spec, res).found
 
 
-def test_kink_optimum_keeps_the_grid_pass(rng, monkeypatch):
-    # A Hermitian against span{I} in the spectral norm: sigma_1 is tied at the
-    # optimum c = (max d + min d) / 2, so no bracket closes
+def hermitian_vs_identity(rng):
+    """A Hermitian A = Q diag(d) Q* against span{I} in the spectral norm: the
+    optimum c = (max d + min d) / 2 ties sigma_1 (a kink) at (max d - min d) / 2."""
     d = np.array([1.7, -0.4, -1.1])
     q, _ = np.linalg.qr(rand_complex(rng, 3, 3))
-    a = (q * d) @ q.conj().T
+    return (q * d) @ q.conj().T, MatrixSubspace([np.eye(3)], field="complex"), d
+
+
+def test_kink_optimum_closes_the_bracket(rng, monkeypatch):
+    a, sub, d = hermitian_vs_identity(rng)
     methods, grids = count_local_work(monkeypatch)
-    res = best_approx(a, MatrixSubspace([np.eye(3)], field="complex"),
-                      NormSpec.spectral(), starts=6, seed=0)
-    assert len(grids) == 1 and "Nelder-Mead" in methods
-    assert res.trace["duality_gap"] is None and res.converged
+    res = best_approx(a, sub, NormSpec.spectral(), starts=6, seed=0)
+    assert grids == [] and "Nelder-Mead" not in methods
+    assert res.converged and res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
     assert np.max(np.abs(res.y - (d.max() + d.min()) / 2.0 * np.eye(3))) <= 1e-6
     assert abs(res.value - (d.max() - d.min()) / 2.0) <= 1e-9
+
+
+def test_kink_newton_reaches_the_tied_optimum(rng):
+    """From a point where sigma_1 and sigma_2 agree to 1e-6, the Newton steps
+    land on the kink and close the bracket on the face bound."""
+    a, sub, d = hermitian_vs_identity(rng)
+    obj = Objective(a, sub, NormSpec.spectral())
+    c = (d.max() + d.min()) / 2.0
+    x0 = x_of_coeffs(np.array([(c + 1e-6 + 1e-6j) * np.sqrt(3.0)]), sub)
+    x, f, bracket = solvers.kink_newton(obj, x0, obj.value(x0))
+    assert abs(f - (d.max() - d.min()) / 2.0) <= 1e-12
+    assert bracket is not None and bracket[1] == "face" and closes(f, bracket[0])
