@@ -1,12 +1,14 @@
 """Best approximation from a matrix subspace, optimality certificates, and the
-nested strict-spectral scheme.
+strict spectral approximant.
 
-bestApprox minimizes ||A - Y|| over Y in the subspace for any supported norm;
-certifyBest searches the subdifferential at the residual for an element
+best_approx minimizes ||A - Y|| over Y in the subspace for any supported norm;
+certify_best searches the subdifferential at the residual for an element
 orthogonal to the subspace (zero projection), which is the exact first-order
-optimality certificate for a convex problem.  strictSpectral minimizes the
-partial sums (sigma_1, sigma_1^2+sigma_2^2, ...) of the residual
-lexicographically via nested sublevel-constrained stages.
+optimality certificate for a convex problem.  strict_spectral builds the
+residual whose singular values are lexicographically minimal (Zietak's strict
+spectral approximant) the way Rice builds the strict Chebyshev approximant:
+a certified sigma_1 solve fixes the block of singular values its certificate
+pins, and the rest is solved again on the compression of the residual.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, spectrum_blocks
+from .core import CLAMP_REL, MatrixSubspace, as_matrix, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, norm
-from .solvers import (Objective, coeffs_of_x, grid_refine, multistart_minimize,
-                      polish, polyak_descent, x_of_coeffs)
+from .solvers import (GAP_TOL, Objective, coeffs_of_x, multistart_minimize, polish,
+                      polyak_descent, real_dim, real_rows, x_of_coeffs)
 from .subdiff import descriptor, face_min_norm
 
 
@@ -168,7 +170,6 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     _, k_eff = spec.resolve(n0)
     predicted = rank_x > a.shape[1] - k_eff
 
-    from .core import MatrixSubspace
     sub = MatrixSubspace([x], field="complex")
     obj = Objective(a, sub, spec)
     rng = np.random.default_rng(seed)
@@ -202,55 +203,15 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
 # strict spectral approximation
 
 
-def _partial_sums(obj, x):
-    """f_j = (sum_{i<=j} sigma_i^2)^(1/2) of the residual at x (x may be a stack)."""
-    s = np.linalg.svd(obj.residual(x), compute_uv=False)
-    return np.sqrt(np.cumsum(s * s, axis=-1))
-
-
-def _penalty(obj, k, barr, mu):
-    """Exact penalty f_k + mu * sum_j max(0, f_j - barr_j) on the partial sums.
-
-    Returns (value, value_and_grad, value_many).  value_and_grad works from one
-    SVD R = U diag(sigma) V*: the gradient of f_j is U_j diag(sigma_i/f_j) V_j*,
-    so sum_j w_j grad f_j = U diag(sigma_i sum_{j>=i} w_j/f_j) V* with w_k = 1
-    and w_j = mu on the violated earlier stages.  Like value_many it takes a
-    point or a stack of points (a leading axis); a zero residual gets a zero
-    gradient.
-    """
-    nb = len(barr)
-
-    def value_many(xs):
-        f = _partial_sums(obj, xs)
-        return f[..., k - 1] + mu * np.maximum(0.0, f[..., :nb] - barr).sum(axis=-1)
-
-    def value(x):
-        return float(value_many(x))
-
-    def value_and_grad(x):
-        u, s, vh = np.linalg.svd(obj.residual(x), full_matrices=False)
-        f = np.sqrt(np.cumsum(s * s, axis=-1))
-        val = f[..., k - 1] + mu * np.maximum(0.0, f[..., :nb] - barr).sum(axis=-1)
-        w = np.zeros(s.shape)
-        w[..., :nb] = np.where(f[..., :nb] > barr, mu, 0.0)
-        w[..., k - 1] = 1.0
-        coef = s * np.cumsum((w / np.where(f > 0, f, 1.0))[..., ::-1], axis=-1)[..., ::-1]
-        grad = obj.pullback((u * coef[..., None, :]) @ vh)
-        return (float(val), grad) if np.ndim(x) == 1 else (val, grad)
-
-    return value, value_and_grad, value_many
-
-
 @dataclass
 class StageInfo:
     k: int
-    value: float
-    skipped: bool
-    feasible: bool
-    converged: bool
-    mu: float
-    rounds: int
-    active: int  # how many earlier sublevel constraints are binding
+    value: float      # f_k = (sigma_1^2 + ... + sigma_k^2)^(1/2) of the final residual
+    skipped: bool     # sigma_k lies in sigma_(k-1)'s block of the final spectrum
+    feasible: bool    # the final residual keeps the value the solve fixed for sigma_k
+    converged: bool   # the solve that fixed sigma_k closed its bracket and was certified
+    active: int       # singular values fixed before that solve
+    gap: float        # its certificate residual ||P_S G|| (0 where no freedom was left)
 
 
 @dataclass
@@ -268,15 +229,32 @@ class StrictApproxResult:
     flags: list
 
 
-def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
-                    stage_tol=None, grid_dim_limit=2):
-    """Nested lexicographic minimization of the residual partial sums.
+# eigenvalues of the certificate's T below RANK_TOL of the largest are dropped
+RANK_TOL = 1e-6
+# singular values of the deflation constraint map up to NULL_TOL span its null space
+NULL_TOL = 1e-8
 
-    Stage k minimizes f_k(Y) = (sum_{i<=k} sigma_i(A-Y)^2)^(1/2) subject to
-    f_j <= m_j + stage_tol for all earlier stages j, via an exact penalty with
-    adaptive weight.  Stages whose index falls inside a multiplicity block of
-    the current residual spectrum are forced by the earlier constraints and
-    are recorded without a fresh solve.
+
+def _complement(u):
+    """Orthonormal basis of the orthogonal complement of the orthonormal columns u."""
+    return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+
+
+def strict_spectral(a, subspace, starts=12, iters=150, seed=0, grid_dim_limit=2):
+    """Strict spectral approximant by certified deflation.
+
+    Each stage solves the sigma_1 problem on the current compression with
+    best_approx and certifies it (certify_best): G = U_T T V_T* in the face at
+    the residual, with T's eigenvalues below RANK_TOL of the largest dropped,
+    has Re<G, A - Y'> = m for every Y' in the subspace, so every minimizer
+    satisfies R V_T = m U_T and R* U_T = m V_T.  Those are linear in the real
+    coordinates; their null space (NULL_TOL) maps onto a real-field subspace
+    of the compression U_perp* R V_perp, the next stage's problem.  A dropped
+    tied value is fixed again by the next stage.  The loop stops when the
+    compression or its freedom is empty (the remaining singular values are
+    then fixed), at a zero residual (CLAMP_REL ||A||_F) or at a stage that is
+    not certified.  stage_tol is the accuracy each certified stage
+    guarantees, GAP_TOL (1 + sigma_1).
     """
     a = as_matrix(a)
     if a.shape != subspace.shape:
@@ -284,57 +262,61 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
                                 % (a.shape, subspace.shape))
     if not subspace.dim:
         raise InvalidInputError("cannot approximate from an empty subspace")
-    obj = Objective(a, subspace, NormSpec.kyfan(2, 1))
+    spectral = NormSpec.spectral()
     n0 = min(a.shape)
-    log = []
-    bounds = []  # m_j + stage_tol per recorded stage
+    zero = CLAMP_REL * np.linalg.norm(a)
+    x = np.zeros(real_dim(subspace))
+    to_x = np.eye(x.size)  # current stage coordinates -> x
+    cur, sub = a, subspace
+    pins = []  # (count, value fixed or None, converged, gap) per stage
+    while True:
+        res = best_approx(cur, sub, spectral, starts=starts, iters=iters,
+                          seed=seed + 101 * len(pins), grid_dim_limit=grid_dim_limit)
+        x = x + to_x @ x_of_coeffs(res.coefficients, sub)
+        if res.value <= zero:
+            # every remaining value is 0, up to round-off
+            pins.append((min(cur.shape), 0.0, res.converged, 0.0))
+            break
+        cert = certify_best(cur, sub, spectral, res)
+        if not cert.found:
+            # nothing proven to deflate on: the rest stays as this point leaves it
+            pins.append((min(cur.shape), None, False, cert.residual_perp))
+            break
+        ug, tau, vgh = np.linalg.svd(cert.f_matrix)
+        r = int(np.sum(tau > RANK_TOL * tau[0]))
+        u_t, v_t = ug[:, :r], vgh[:r].conj().T
+        pins.append((r, res.value, res.converged, cert.residual_perp))
+        rows = real_rows(sub).reshape((-1,) + cur.shape)
+        cmap = np.concatenate([(rows @ v_t).reshape(len(rows), -1),
+                               (rows.conj().transpose(0, 2, 1) @ u_t).reshape(len(rows), -1)],
+                              axis=1)
+        q, s, _ = np.linalg.svd(np.concatenate([cmap.real, cmap.imag], axis=1))
+        null = q[:, np.concatenate([s, np.zeros(len(q) - s.size)]) <= NULL_TOL]
+        u_p, v_p = _complement(u_t), _complement(v_t)
+        cur = u_p.conj().T @ res.residual @ v_p
+        if not (cur.size and null.size):
+            break
+        to_x = to_x @ null
+        sub = MatrixSubspace(list(u_p.conj().T @ np.tensordot(null.T, rows, axes=1) @ v_p),
+                             field="real")
 
-    # stage 1 is an unconstrained spectral-norm fit
-    out1 = multistart_minimize(obj, starts=starts, iters=iters, seed=seed,
-                               grid_dim_limit=grid_dim_limit)
-    x_cur = out1.x
-    m1 = out1.value
-    if stage_tol is None:
-        stage_tol = 1e-7 * (1.0 + m1)
-    feas_slack = 1e-9 * (1.0 + m1)
-    values = [m1]
-    bounds.append(m1 + stage_tol)
-    log.append(StageInfo(k=1, value=m1, skipped=False, feasible=True,
-                         converged=out1.converged, mu=0.0, rounds=0, active=0))
-
-    k = 2
-    while k <= n0:
-        sig = np.linalg.svd(obj.residual(x_cur), compute_uv=False)
-        blocks = spectrum_blocks(sig)
-        if blocks.block_of(k) == blocks.block_of(k - 1):
-            # inside the block opened at an earlier stage: constrained to equality
-            f_here = np.sqrt(np.cumsum(sig * sig))[k - 1]
-            values.append(f_here)
-            bounds.append(f_here + stage_tol)
-            log.append(StageInfo(k=k, value=float(f_here), skipped=True, feasible=True,
-                                 converged=True, mu=0.0, rounds=0, active=k - 1))
-            k += 1
-            continue
-
-        x_cur, info = _solve_stage(obj, k, bounds, x_cur, starts=max(4, starts // 2),
-                                   iters=iters, seed=seed + 101 * k,
-                                   feas_slack=feas_slack, stage_tol=stage_tol,
-                                   grid_dim_limit=grid_dim_limit)
-        values.append(info.value)
-        bounds.append(info.value + stage_tol)
-        log.append(info)
-        k += 1
-
-    if n0 > 1:
-        # the sublevel relaxation lets the last stage drift up to stage_tol off
-        # the earlier optima; pull the final point back onto them
-        x_cur = _tighten_final(obj, x_cur, values, stage_tol, grid_dim_limit)
-
-    coeffs = coeffs_of_x(x_cur, subspace)
-    y = subspace.combine(coeffs) if subspace.dim else np.zeros_like(a)
+    coeffs = coeffs_of_x(x, subspace)
+    y = subspace.combine(coeffs)
     residual = a - y
     sigma = np.linalg.svd(residual, compute_uv=False)
     blocks = spectrum_blocks(sigma)
+    values = [float(v) for v in np.sqrt(np.cumsum(sigma * sigma))]
+    stage_tol = GAP_TOL * (1.0 + float(sigma[0]))
+    log, fixed = [], 0
+    # the values left once the compression or its freedom is empty need no solve
+    for count, m, converged, gap in pins + [(n0, None, True, 0.0)]:
+        feasible = m is None or np.max(np.abs(sigma[fixed:fixed + count] - m)) <= stage_tol
+        for k in range(fixed + 1, min(fixed + count, n0) + 1):
+            log.append(StageInfo(k=k, value=values[k - 1],
+                                 skipped=k > 1 and blocks.block_of(k) == blocks.block_of(k - 1),
+                                 feasible=bool(feasible), converged=bool(converged),
+                                 active=fixed, gap=float(gap)))
+        fixed += count
     flags = []
     if any(not st.feasible for st in log):
         flags.append("stage_infeasible")
@@ -345,67 +327,6 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0,
         block_values=blocks.values, multiplicities=blocks.multiplicities,
         values=values, stage_tol=stage_tol, stage_log=log,
         converged=not flags, flags=flags)
-
-
-def _solve_stage(obj, k, bounds, x_warm, starts, iters, seed, feas_slack, stage_tol,
-                 grid_dim_limit):
-    """Penalized solve of stage k: f_k + mu * sum max(0, f_j - bound_j)."""
-    barr = np.asarray(bounds)
-    rng = np.random.default_rng(seed)
-    d = x_warm.size
-    scale = 1.0 + np.linalg.norm(x_warm)
-    mu = 10.0 * (1.0 + barr[0])
-    best_x = x_warm.copy()
-    rounds = 0
-    for _ in range(3):
-        rounds += 1
-        value, value_and_grad, value_many = _penalty(obj, k, barr, mu)
-        cands = [best_x] + [best_x + scale * rng.standard_normal(d)
-                            for _ in range(starts - 1)]
-        x1s, f1s = polyak_descent(value_and_grad, cands, iters=iters)
-        i = int(np.argmin(f1s))
-        fb, xb = float(f1s[i]), x1s[i]
-        if obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
-            halfwidth = 2.0 * (1.0 + np.linalg.norm(xb))
-            gx, gf = grid_refine(value_many, xb, halfwidth)
-            if gf < fb:
-                fb, xb = gf, gx
-        xb, fb, _ = polish(value, None, xb)
-        best_x = xb
-        f = _partial_sums(obj, best_x)
-        viol = float(np.max(np.maximum(0.0, f[: len(barr)] - barr)))
-        if viol <= feas_slack:
-            break
-        mu *= 10.0
-    f = _partial_sums(obj, best_x)
-    viol = float(np.max(np.maximum(0.0, f[: len(barr)] - barr)))
-    feasible = viol <= feas_slack
-    active = int(np.sum(f[: len(barr)] >= barr - 2.0 * stage_tol))
-    return best_x, StageInfo(k=k, value=float(f[k - 1]), skipped=False,
-                             feasible=feasible, converged=feasible,
-                             mu=mu, rounds=rounds, active=active)
-
-
-def _tighten_final(obj, x, values, stage_tol, grid_dim_limit):
-    """Local re-solve of the last stage with near-equality stage bounds."""
-    n0 = len(values)
-    vals = np.asarray(values)
-    eps = 1e-10 * (1.0 + vals[0])
-    barr = vals[:-1] + eps
-    value, _, value_many = _penalty(obj, n0, barr, 1e6 * (1.0 + vals[0]))
-
-    def tight_viol(z):
-        f = _partial_sums(obj, z)
-        return float(np.max(np.maximum(0.0, f[: n0 - 1] - barr), initial=0.0))
-
-    xb, _, _ = polish(value, None, x)
-    if obj.subspace.dim <= grid_dim_limit:
-        hw = max(100.0 * stage_tol, 1e-6) * (1.0 + np.linalg.norm(xb))
-        gx, gv = grid_refine(value_many, xb, hw, levels=10)
-        if gv < value(xb):
-            xb = gx
-        xb, _, _ = polish(value, None, xb)
-    return xb if tight_viol(xb) < tight_viol(x) else x
 
 
 def lex_compare(sa, sb, tol=1e-9):

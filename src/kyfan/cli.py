@@ -372,7 +372,7 @@ def _cmd_strict(args):
         "y": matrix_json(res.y),
         "stage_tol": res.stage_tol,
         "stages": [{"k": s.k, "value": s.value, "skipped": s.skipped,
-                    "feasible": s.feasible, "active": s.active}
+                    "feasible": s.feasible, "active": s.active, "gap": s.gap}
                    for s in res.stage_log],
         "converged": res.converged,
         "flags": res.flags,

@@ -99,7 +99,8 @@ def convergence_checks(sweep, strict, tol=0.02, window=5):
     The first block (i = 1..s_1) is always checked; the second block only when
     s_1 = 1, which is when its convergence is actually guaranteed.  Verdicts
     are evidence, not proofs: a gap above tol with no clear growth is
-    Inconclusive, never silently accepted.
+    Inconclusive, never silently accepted, and so is a gap within a tol
+    below strict.stage_tol, the accuracy the strict reference guarantees.
     """
     if not sweep:
         raise InvalidInputError("empty sweep")
@@ -122,7 +123,7 @@ def convergence_checks(sweep, strict, tol=0.02, window=5):
         if gaps.size < 2:
             verdict = "Inconclusive"
         elif gap <= tol:
-            verdict = "ConvergesWithinTol"
+            verdict = "ConvergesWithinTol" if tol >= strict.stage_tol else "Inconclusive"
         elif slope > 1e-6 * (1.0 + gap):
             verdict = "Diverging"
         else:

@@ -45,6 +45,16 @@ def real_dim(subspace):
     return subspace.dim * (2 if subspace.field == "complex" else 1)
 
 
+def real_rows(subspace):
+    """One row per real coordinate: the flattened matrix x_i multiplies (E_j, and
+    iE_j after it for a complex field), orthonormal under Re tr(X* Y)."""
+    size = int(np.prod(subspace.shape))
+    onb = np.asarray(subspace.onb, dtype=complex).reshape(subspace.dim, size)
+    if subspace.field == "complex":
+        onb = np.stack([onb, 1j * onb], axis=1).reshape(2 * subspace.dim, size)
+    return onb
+
+
 def coeffs_of_x(x, subspace):
     x = np.asarray(x, dtype=float)
     if subspace.field == "complex":
@@ -91,12 +101,9 @@ class Objective:
         # are those of the (2, 1) norm; the closed form below needs p >= 2
         self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
         self.smooth = self.p_eff >= 2
-        onb = np.asarray(subspace.onb, dtype=complex).reshape(subspace.dim, self.a.size)
-        if subspace.field == "complex":
-            onb = np.stack([onb, 1j * onb], axis=1).reshape(-1, self.a.size)
-        self.rows = onb  # row i is the matrix that real coordinate x_i multiplies
-        self._rows_h = onb.conj().T
-        self.a_x = (onb.conj() @ self.a.ravel()).real  # coordinates of P_S A
+        self.rows = real_rows(subspace)
+        self._rows_h = self.rows.conj().T
+        self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
@@ -162,20 +169,21 @@ class Objective:
                 return face_low, "face"
         return low, "hoelder"
 
-    def newton_step(self, x, mult=None):
+    def newton_step(self, x, mult=None, t=None):
         """Newton step for sigma_1 = lambda_max(M(x)) at a multiple eigenvalue (Overton 1988).
 
         M(x) = [[0, R], [R*, 0]] and M_i = dM/dx_i = -[[0, E_i], [E_i*, 0]].  With
-        M = Q diag(lambda) Q*, Q_1 the t eigenvectors within KINK_TOL of lambda_1
-        and Q_2 the rest, the step solves the KKT system of min omega + d.W d / 2
-        subject to Lambda_1 + sum_i d_i Q_1* M_i Q_1 = omega I:
+        M = Q diag(lambda) Q*, Q_1 the leading eigenvectors (at least t, and at
+        least those within KINK_TOL of lambda_1) and Q_2 the rest, the step
+        solves the KKT system of min omega + d.W d / 2 subject to
+        Lambda_1 + sum_i d_i Q_1* M_i Q_1 = omega I:
             W d + J^T u = 0,   tr U = 1,   J d - omega vec(I) = -vec(Lambda_1),
         with W_ij = 2 Re tr(U C_i D C_j*), C_i = Q_1* M_i Q_2 and
         D = diag(1 / (mean(lambda_1..t) - lambda_j)).  U is the t x t Hermitian
         multiplier, u its coordinates in an orthonormal basis.  mult carries it
         between calls as Q_1 U Q_1*, so that it follows the eigenvectors; W
         takes its compression to the new Q_1, rescaled to trace 1, or I / t when
-        there is none.  Only valid for k_eff = 1.  Returns (d, new mult).
+        there is none.  Only valid for k_eff = 1.  Returns (d, new mult, t).
         """
         r = self.residual(x)
         m, n = r.shape
@@ -184,7 +192,7 @@ class Objective:
         mx[m:, :m] = r.conj().T
         lam, q = np.linalg.eigh(mx)
         lam, q = lam[::-1], q[:, ::-1]
-        t = int(np.sum(lam >= lam[0] - KINK_TOL * lam[0]))
+        t = max(t or 0, int(np.sum(lam >= lam[0] - KINK_TOL * lam[0])))
         q1 = q[:, :t]
         u = np.eye(t) / t
         if mult is not None:
@@ -209,7 +217,7 @@ class Objective:
         kkt[d + 1:, d] = -eye
         rhs = np.concatenate([np.zeros(d), [1.0], -lam1])
         z = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        return z[:d], q1 @ np.tensordot(z[d + 1:], basis, axes=1) @ q1.conj().T
+        return z[:d], q1 @ np.tensordot(z[d + 1:], basis, axes=1) @ q1.conj().T, t
 
 
 def polyak_descent(fg, x0, iters=150):
@@ -286,12 +294,15 @@ def kink_newton(obj, x, f):
     manifold raises f by its second-order error, and the next one recovers.
     So every step is taken, and a point is accepted when f does not rise
     above round-off of the best accepted value; the bracket is checked there.
+    A rise beyond 1e-6 of f means the step fixed too few tied values (BFGS
+    can stop farther from the tie than KINK_TOL): the next singular value
+    joins the multiplicity t and the steps restart from the best point.
     Returns (x, f, bracket) at the first accepted point whose bracket closes,
     else (best point, its value, None).
     """
-    mult, y = None, x
+    mult, t, y = None, None, x
     for _ in range(12):
-        d, mult = obj.newton_step(y, mult)
+        d, mult, t = obj.newton_step(y, mult, t)
         y = y + d
         fy, g = obj.value_and_grad(y)
         if fy <= f * (1.0 + 1e-14):
@@ -299,6 +310,8 @@ def kink_newton(obj, x, f):
             bracket = obj.lower_bound(x, f, g)
             if closes(f, bracket[0]):
                 return x, f, bracket
+        elif fy > f * (1.0 + 1e-6) and t < min(obj.a.shape):
+            mult, t, y = None, t + 1, x
     return x, f, None
 
 

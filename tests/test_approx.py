@@ -305,6 +305,40 @@ def test_strict_lex_minimal_among_samples(rng):
         assert lex_compare(st.sigma, s, tol=1e-6) != "Greater"
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_strict_exact_where_stage_one_is_not_unique(field):
+    # sigma_1 = 3 is fixed by every point near the optimum; the later stages
+    # decide y, and each must land on it exactly
+    cases = [(np.diag([3.0, 1.0, 0.0]), np.diag([0.0, 1.0, 1.0]), [3.0, 0.5, 0.5], 0.5),
+             (np.diag([3.0, 1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0]), [3.0, 0.5, 0.0, 0.0], 1.0)]
+    for a, x, sigma, c in cases:
+        st = strict_spectral(a, MatrixSubspace([x], field=field), starts=6, seed=0)
+        assert np.max(np.abs(st.sigma - sigma)) <= 1e-10, (sigma, st.sigma)
+        assert np.max(np.abs(st.y - c * x)) <= 1e-10, (sigma, st.y)
+        assert st.converged and not st.flags
+        assert st.stage_log[0].gap <= 1e-7 and not st.stage_log[1].skipped
+
+
+def test_strict_spectrum_respects_the_symmetries(rng):
+    """(A, S) -> (UAV, USV) and a 1e-15 relative change of A leave the strict
+    residual spectrum alone: each block is fixed by a certified solve."""
+    for i in range(12):
+        n, dim, field = 2 + i % 2, 1 + (i // 2) % 2, ["complex", "real"][(i // 4) % 2]
+        a = rand_complex(rng, n, n)
+        basis = [rand_complex(rng, n, n) for _ in range(dim)]
+        u, _ = np.linalg.qr(rand_complex(rng, n, n))
+        v, _ = np.linalg.qr(rand_complex(rng, n, n))
+        ref = strict_spectral(a, MatrixSubspace(basis, field=field), starts=6, seed=0)
+        moved = strict_spectral(u @ a @ v, MatrixSubspace([u @ b @ v for b in basis], field=field),
+                                starts=6, seed=0)
+        nudged = strict_spectral(a * (1.0 + 1e-15 * rng.standard_normal((n, n))),
+                                 MatrixSubspace(basis, field=field), starts=6, seed=0)
+        for st in (ref, moved, nudged):
+            assert st.converged and all(s.gap <= 1e-7 for s in st.stage_log), i
+        assert np.max(np.abs(moved.sigma - ref.sigma)) <= 1e-7, i
+        assert np.max(np.abs(nudged.sigma - ref.sigma)) <= 1e-7, i
+
+
 def test_strict_validation():
     with pytest.raises(InvalidInputError):
         strict_spectral(np.eye(2), SPAN_I3)

@@ -363,6 +363,9 @@ def test_strict_payload(capsys, files):
     assert np.max(np.abs(np.array(payload["sigma"]) - [1.5, 1.5, 0.5])) <= 1e-6
     assert payload["multiplicities"] == [2, 1]
     assert payload["stages"][1]["skipped"] is True
+    # sigma_1 and sigma_2 are fixed by one certified solve, sigma_3 by what is left
+    assert payload["stages"][0]["gap"] == payload["stages"][1]["gap"] <= 1e-7
+    assert payload["stages"][2]["gap"] == 0.0 and payload["stages"][2]["active"] == 2
 
 
 def test_sweep_payload_and_csv(capsys, files, tmp_path):

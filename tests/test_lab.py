@@ -142,6 +142,19 @@ def test_convergence_checks_inconclusive_above_tol(cheb_sweep):
     assert not rep.all_converged
 
 
+def test_convergence_checks_tol_below_stage_tol_is_inconclusive(cheb_sweep):
+    # a gap of 0 at a tol finer than the strict reference's accuracy proves nothing
+    _, _, st, recs = cheb_sweep
+    exact = [SweepRecord(p=r.p, coefficients=r.coefficients, sigma=st.sigma.copy(),
+                         value_p=r.value_p, value_inf=float(st.sigma[0]),
+                         dist_to_strict=0.0, flags=[]) for r in recs]
+    rep = convergence_checks(exact, st, tol=0.5 * st.stage_tol)
+    assert all(c.gap == 0.0 and c.verdict == "Inconclusive" for c in rep.checks)
+    assert not rep.all_converged
+    rep = convergence_checks(exact, st, tol=st.stage_tol)
+    assert rep.all_converged
+
+
 def test_convergence_checks_second_block():
     # s_1 = 1 instance: the second block is checked too
     a = np.diag([3.0, 1.0, 0.0]).astype(complex)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kyfan import solvers
-from kyfan.approx import _penalty, best_approx, certify_best
+from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, norm
 from kyfan.solvers import GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
@@ -80,28 +80,6 @@ def test_fused_gradient_central_difference(rng):
             assert np.max(np.abs(g - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd))), (t, spec)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_strict_penalty_gradient_is_weighted_stage_oracle(rng, field):
-    mu = 7.0
-    for sigma in SPECTRA:
-        a, sub, x = instance(rng, sigma, field, 4, 4)
-        stages = [Objective(a, sub, NormSpec.kyfan(2, j)) for j in range(1, 5)]
-        r = stages[0].residual(x)
-        fs = np.sqrt(np.cumsum(np.linalg.svd(r, compute_uv=False) ** 2))
-        for k in range(2, 5):
-            # stages 1, 3 violated (bound below f_j), stage 2 within its bound
-            barr = fs[: k - 1] + np.array([-0.1, 0.1, -0.1])[: k - 1]
-            value, value_and_grad, value_many = _penalty(stages[0], k, barr, mu)
-            v, g = value_and_grad(x)
-            want = oracle_grad(stages[k - 1], r)
-            for j in range(1, k):
-                if fs[j - 1] > barr[j - 1]:
-                    want = want + mu * oracle_grad(stages[j - 1], r)
-            assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want), (sigma, k)
-            assert abs(v - value(x)) <= 1e-12 * v
-            assert abs(v - value_many(x[None])[0]) <= 1e-12 * v
-
-
 def test_one_svd_per_fused_evaluation(rng, monkeypatch):
     a, sub, x = instance(rng, None, "complex", 4, 4)
     calls = []
@@ -109,10 +87,6 @@ def test_one_svd_per_fused_evaluation(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     Objective(a, sub, NormSpec.kyfan(3, 2)).value_and_grad(x)
     assert len(calls) == 1
-    _, value_and_grad, _ = _penalty(Objective(a, sub, NormSpec.kyfan(2, 1)), 3,
-                                    np.array([0.0, 0.0]), 5.0)
-    value_and_grad(x)
-    assert len(calls) == 2
 
 
 def in_subspace_instance(rng, field, m=3, n=4):
@@ -147,17 +121,6 @@ def test_stacked_kernel_rows_match_single_points(rng, field):
             assert_close(g_row, g)
             assert_close(v_row, obj.value(x))
         assert fs[2] == 0.0 and not np.any(gs[2])
-    obj = Objective(a, sub, NormSpec.kyfan(2, 1))
-    for k, barr in [(2, [0.5]), (3, [0.5, 100.0])]:
-        _, value_and_grad, value_many = _penalty(obj, k, np.array(barr), 7.0)
-        fs, gs = value_and_grad(stack)
-        for x, f_row, g_row, v_row in zip(stack, fs, gs, value_many(stack)):
-            f, g = value_and_grad(x)
-            assert isinstance(f, float)
-            assert_close(f_row, f)
-            assert_close(g_row, g)
-            assert_close(v_row, f)
-        assert fs[2] == 0.0 and not np.any(gs[2])
 
 
 def old_sigma_norm(sigma, p, k):
@@ -186,7 +149,7 @@ def test_sigma_norm_zero_spectral_and_old_formula(rng):
 
 
 def lockstep_cases(rng, in_subspace):
-    """(label, fg, starts) on real and complex fields and on the strict penalty.
+    """(label, fg, starts) on real and complex fields.
 
     With in_subspace, A lies in the subspace and the first start sits where
     the residual is exactly 0; otherwise A is moved off the subspace.
@@ -198,9 +161,6 @@ def lockstep_cases(rng, in_subspace):
             a = a + rand_complex(rng, *a.shape)
         for spec in [NormSpec.spectral(), NormSpec.kyfan(3, 2), NormSpec.schatten(4)]:
             yield (field, spec.label()), Objective(a, sub, spec).value_and_grad, starts
-        _, value_and_grad, _ = _penalty(Objective(a, sub, NormSpec.kyfan(2, 1)), 3,
-                                        np.array([0.5, 0.8]), 10.0)
-        yield (field, "penalty"), value_and_grad, starts
 
 
 @pytest.mark.parametrize("in_subspace", [False, True], ids=["off", "in"])
@@ -360,3 +320,16 @@ def test_kink_newton_reaches_the_tied_optimum(rng):
     x, f, bracket = solvers.kink_newton(obj, x0, obj.value(x0))
     assert abs(f - (d.max() - d.min()) / 2.0) <= 1e-12
     assert bracket is not None and bracket[1] == "face" and closes(f, bracket[0])
+
+
+def test_kink_newton_adds_a_tied_value_when_a_step_rises(monkeypatch):
+    """A = diag(3, 1, 0) against span{I}: BFGS stops with sigma_1 - sigma_2
+    above KINK_TOL, so the first Newton steps fix one value and raise f; with
+    the next value added they land on (1.5, 1.5, 0.5) in the first polish."""
+    a = np.diag([3.0, 1.0, 0.0]).astype(complex)
+    methods, grids = count_local_work(monkeypatch)
+    res = best_approx(a, MatrixSubspace([np.eye(3)], field="complex"), NormSpec.spectral(),
+                      starts=6, seed=0)
+    assert methods == ["BFGS"] and grids == [] and res.trace["iterations"] == 0
+    assert res.trace["bound"] == "face" and res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
+    assert np.max(np.abs(res.sigma - [1.5, 1.5, 0.5])) <= 1e-12
