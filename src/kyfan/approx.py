@@ -39,8 +39,7 @@ class ApproximationResult:
     certificate: np.ndarray | None = None
 
 
-def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
-                grid_dim_limit=2, extra_coeffs=None):
+def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=None):
     """Minimize ||A - Y||_spec over Y in the subspace.
 
     The start of least value (extra_coeffs included) is polished first, with
@@ -49,8 +48,8 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
     trace["bound"] the bound that closed it ("hoelder" or "face") and
     trace["iterations"] the Polyak steps run, 0 then.  Only while it stays
     open do starts and iters act: multi-start subgradient descent, the polish
-    of the best finals with Nelder-Mead, and for subspaces of dimension
-    <= grid_dim_limit a coarse-to-fine grid pass.
+    of the 3 best finals with Nelder-Mead, and for subspaces of dimension
+    <= solvers.GRID_DIM_LIMIT a coarse-to-fine grid pass.
     extra_coeffs seeds additional starts (warm starting across a parameter sweep).
     """
     a = as_matrix(a)
@@ -63,8 +62,7 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0,
     extra = []
     for c in (extra_coeffs or []):
         extra.append(x_of_coeffs(np.asarray(c), subspace))
-    out = multistart_minimize(obj, starts=starts, iters=iters, seed=seed,
-                              grid_dim_limit=grid_dim_limit, extra_starts=extra)
+    out = multistart_minimize(obj, starts=starts, iters=iters, seed=seed, extra_starts=extra)
     coeffs = coeffs_of_x(out.x, subspace)
     y = subspace.combine(coeffs)
     residual = a - y
@@ -121,8 +119,8 @@ def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0)
     p, k = _cert_face(spec, n0)
     if not subspace.dim:
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True, 0.0)
-    if norm(r, spec) == 0.0:
-        # zero residual: Y = A attains the smallest conceivable value
+    if np.linalg.norm(r) <= CLAMP_REL * np.linalg.norm(a):
+        # zero residual up to round-off: Y = A attains the smallest conceivable value
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
 
     desc = descriptor(r, p, k)
@@ -177,13 +175,11 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     starts = [np.zeros(2), x_of_coeffs(sub.coefficients(a), sub)]
     while len(starts) < trials:
         starts.append(scale * rng.standard_normal(2))
-    starts = np.array(starts)
-    if obj.smooth:
-        starts, _ = polyak_descent(obj.value_and_grad, starts, iters=120)
+    starts, _ = polyak_descent(obj.value_and_grad, np.array(starts), iters=120)
 
     endpoints = []
     for x1 in starts:
-        x2, f2, _ = polish(obj.value, obj.value_and_grad if obj.smooth else None, x1, obj)
+        x2, f2, _ = polish(obj, x1)
         endpoints.append((f2, x2))
     best = min(f for f, _ in endpoints)
     keep = [coeffs_of_x(xv, sub)[0] for f, xv in endpoints
@@ -240,7 +236,7 @@ def _complement(u):
     return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
 
 
-def strict_spectral(a, subspace, starts=12, iters=150, seed=0, grid_dim_limit=2):
+def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
     """Strict spectral approximant by certified deflation.
 
     Each stage solves the sigma_1 problem on the current compression with
@@ -271,7 +267,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0, grid_dim_limit=2)
     pins = []  # (count, value fixed or None, converged, gap) per stage
     while True:
         res = best_approx(cur, sub, spectral, starts=starts, iters=iters,
-                          seed=seed + 101 * len(pins), grid_dim_limit=grid_dim_limit)
+                          seed=seed + 101 * len(pins))
         x = x + to_x @ x_of_coeffs(res.coefficients, sub)
         if res.value <= zero:
             # every remaining value is 0, up to round-off

@@ -4,19 +4,21 @@ The objective c -> ||A - sum c_j E_j||_spec is convex on the real coordinate
 vector x of c.  Objective keeps one row per real coordinate (E_j, and iE_j
 after it for a complex field), so a residual and a pull-back are one matrix
 product each, on one point or on a stack of points.  Each point costs one SVD
-of the residual R = U diag(sigma) V*: it gives the value and, for p >= 2, the
-closed-form extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*.
+of the residual R = U diag(sigma) V*: it gives the value and the closed-form
+extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*, which has dual norm 1
+and pairing ||R|| for every p >= 1 (Watson 1992).
 
 A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.
 The start of least value is polished first: BFGS with the exact gradient,
 then the lower bound (Hoelder from the last subgradient, or the face bound at
 a kink).  At a sigma_1 kink, where BFGS cannot reach the tie, Newton steps
 for the multiple eigenvalue (Overton 1988) land on it and the face bound
-closes there.  Only while the bracket stays open (p < 2, kinks the Newton
-step misses) do the budgets act: multi-start Polyak-step subgradient descent
-with all starts in lockstep and one stacked SVD per step, the polish of the
-best finals, Nelder-Mead and, for low-dimensional subspaces, a
-coarse-to-fine grid pass evaluated with batched SVDs.
+closes there.  Only while the bracket stays open (kinks the Newton step
+misses, and kinks of p < 2, which have no face bound) do the budgets act:
+multi-start Polyak-step subgradient descent with all starts in lockstep and one
+stacked SVD per step, the polish of the best finals, Nelder-Mead and, for
+subspaces of dimension <= GRID_DIM_LIMIT, a coarse-to-fine grid pass evaluated
+with batched SVDs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ GAP_TOL = 1e-7
 # singular values within KINK_TOL * sigma_1 count as tied: the face bound takes
 # them as one face, the kink Newton step as one multiple eigenvalue
 KINK_TOL = 1e-4
+# the grid pass runs on subspaces of dimension <= GRID_DIM_LIMIT, with (points
+# per axis, levels) GRID_FINE on at most 2 real coordinates, else GRID_COARSE
+GRID_DIM_LIMIT = 2
+GRID_FINE, GRID_COARSE = (33, 14), (9, 12)
 
 
 def closes(f, lower):
@@ -98,9 +104,8 @@ class Objective:
         self.spec = spec
         self.p, self.k = spec.resolve(min(a.shape))
         # p = None means the norm reduces to sigma_1, whose extreme subgradients
-        # are those of the (2, 1) norm; the closed form below needs p >= 2
+        # are those of the (2, 1) norm
         self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
-        self.smooth = self.p_eff >= 2
         self.rows = real_rows(subspace)
         self._rows_h = self.rows.conj().T
         self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
@@ -124,17 +129,18 @@ class Objective:
         """f(x) and a pulled-back subgradient from one SVD of the residual.
 
         The subgradient is the extreme point U_k diag((sigma_i/f)^(p-1)) V_k* of
-        the (p, k) norm, the exact gradient wherever the norm is smooth; 0 at a
-        zero residual and None for p < 2.  A stack of points gives a stack of
-        values and gradients; one point gives a float and a vector.
+        the (p, k) norm for every p >= 1, the exact gradient wherever the norm
+        is differentiable.  At p = 1, 0**0 = 1 keeps the singular pairs of
+        zero singular values among the top k; at a zero residual this gives
+        U_k V_k*, also a subgradient there, and 0 for p > 1.  A stack of
+        points gives a stack of values and gradients; one point gives a float
+        and a vector.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
         f = _sigma_norm(s, self.p, self.k)
-        g = None
-        if self.smooth:
-            k = self.k_eff
-            ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
-            g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
+        k = self.k_eff
+        ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
+        g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
         return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
     def lower_bound(self, x, f, g):
@@ -152,11 +158,12 @@ class Objective:
         counts only when ||P_S G|| is small enough to move it by at most
         GAP_TOL (1 + f) / 2.  It is tight to second order in ||P_S G||, so it
         would close earlier, but then at points that certify_best cannot
-        certify.  g exists only for p >= 2, where the face is described.
+        certify.  The face is described for p >= 2 only, so below that the
+        bound is Hoelder's.
         """
         n0 = min(self.a.shape)
         low = max(0.0, float((f + g @ (self.a_x - x)) / (1.0 + np.sqrt(n0) * np.linalg.norm(g))))
-        if closes(f, low):
+        if closes(f, low) or self.p_eff < 2:
             return low, "hoelder"
         desc = descriptor(self.residual(x), self.p_eff, self.k_eff, tol=KINK_TOL)
         tol = GAP_TOL * (1.0 + f) / (4.0 * np.sqrt(n0) * f)
@@ -224,15 +231,13 @@ def polyak_descent(fg, x0, iters=150):
     """Subgradient descent with Polyak-style steps off the best value seen.
 
     x0 is an (S, d) stack of starts that descend in lockstep, one call of fg
-    per step for all of them; fg(xs) returns (values, subgradients or None).
+    per step for all of them; fg(xs) returns (values, subgradients).
     Each start keeps its own best point and slack, and stops moving once its
     subgradient vanishes.  Returns the (S, d) best points and their values.
     """
     x = np.array(x0, dtype=float)
     fx, g = fg(x)
     best_x, best_f = x.copy(), np.array(fx, dtype=float)
-    if g is None:
-        return best_x, best_f
     slack = 0.1 * (1.0 + np.abs(fx))
     live = np.ones(len(x), dtype=bool)
     for _ in range(iters):
@@ -250,36 +255,34 @@ def polyak_descent(fg, x0, iters=150):
     return best_x, best_f
 
 
-def polish(fun, fg, x0, obj=None):
-    """Local refinement: BFGS on fg (value and gradient) when given, then Nelder-Mead on fun.
+def polish(obj, x0):
+    """Local refinement of the Objective obj from x0: BFGS on obj.value_and_grad,
+    then Nelder-Mead on obj.value.
 
-    obj, when given, is the Objective that fun and fg evaluate.  Its bracket
-    is checked at BFGS's final point and, for sigma_1 norms (k_eff = 1),
-    after each accepted kink Newton step; the first that closes ends the
-    polish.  Returns (x, f, bracket) with bracket = (lower, kind) from
-    obj.lower_bound when it closed, else None after Nelder-Mead.
+    The bracket is checked at BFGS's final point and, for sigma_1 norms
+    (k_eff = 1), after each accepted kink Newton step; the first that closes
+    ends the polish.  Returns (x, f, bracket) with bracket = (lower, kind)
+    from obj.lower_bound when it closed, else None after Nelder-Mead.
     """
     best_x = np.asarray(x0, dtype=float).copy()
-    best_f = fun(best_x)
+    best_f = obj.value(best_x)
     if best_x.size == 0:
         return best_x, best_f, None
-    if fg is not None:
-        try:
-            res = minimize(fg, best_x, jac=True, method="BFGS",
-                           options={"gtol": 1e-12, "maxiter": 300})
-        except Exception:
-            res = None
-        if res is not None and res.fun <= best_f:
-            best_x, best_f = np.asarray(res.x), float(res.fun)
-            if obj is not None:
-                bracket = obj.lower_bound(best_x, best_f, res.jac)
-                if closes(best_f, bracket[0]):
-                    return best_x, best_f, bracket
-                if obj.k_eff == 1:
-                    best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
-                    if bracket is not None:
-                        return best_x, best_f, bracket
-    res = minimize(fun, best_x, method="Nelder-Mead",
+    try:
+        res = minimize(obj.value_and_grad, best_x, jac=True, method="BFGS",
+                       options={"gtol": 1e-12, "maxiter": 300})
+    except Exception:
+        res = None
+    if res is not None and res.fun <= best_f:
+        best_x, best_f = np.asarray(res.x), float(res.fun)
+        bracket = obj.lower_bound(best_x, best_f, res.jac)
+        if closes(best_f, bracket[0]):
+            return best_x, best_f, bracket
+        if obj.k_eff == 1:
+            best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
+            if bracket is not None:
+                return best_x, best_f, bracket
+    res = minimize(obj.value, best_x, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15,
                             "maxiter": 400 * best_x.size, "maxfev": 400 * best_x.size})
     if res.fun < best_f:
@@ -315,15 +318,13 @@ def kink_newton(obj, x, f):
     return x, f, None
 
 
-def grid_refine(fun_many, center, halfwidth, levels=None):
+def grid_refine(fun_many, center, halfwidth):
     """Coarse-to-fine box search; fun_many evaluates a stack of points."""
     center = np.asarray(center, dtype=float).copy()
     d = center.size
     if d == 0:
         return center, float(fun_many(center[None])[0])
-    pts = 33 if d <= 2 else 9
-    if levels is None:
-        levels = 14 if d <= 2 else 12
+    pts, levels = GRID_FINE if d <= 2 else GRID_COARSE
     h = float(halfwidth)
     best_x, best_f = center.copy(), float(fun_many(center[None])[0])
     for _ in range(levels):
@@ -365,44 +366,38 @@ def default_starts(obj, starts, seed):
     return out[:max(2, starts)]
 
 
-def multistart_minimize(obj, starts=50, iters=150, seed=0, grid_dim_limit=2,
-                        extra_starts=()):
+def multistart_minimize(obj, starts=50, iters=150, seed=0, extra_starts=()):
     """Full pipeline on an Objective; deterministic for fixed inputs.
 
     The problem is convex, so a polished point whose bracket closes is optimal:
     the start of least value is polished first.  Only while its bracket stays
     open do starts and iters act as budgets: all starts descend in lockstep,
-    the best finals are polished in order until a bracket closes, and
-    subspaces of dimension <= grid_dim_limit get the grid pass.  Without
-    subgradients (p < 2) the polish of 8 starts does all the work.
+    the 3 best finals are polished in order until a bracket closes, and
+    subspaces of dimension <= GRID_DIM_LIMIT get the grid pass.
     """
     xs = np.array(default_starts(obj, starts, seed) + list(extra_starts), dtype=float)
     fs = obj.value_many(xs)
-    fg = obj.value_and_grad if obj.smooth else None
-    polished, steps = [], 0
-    if obj.smooth:
-        polished.append(polish(obj.value, fg, xs[np.argmin(fs)], obj))
-        if polished[0][2] is None:
-            xs, fs = polyak_descent(fg, xs, iters=iters)
-            steps = iters
-    finals = [(float(fs[i]), xs[i]) for i in np.argsort(fs, kind="stable")]
-    if not polished or polished[0][2] is None:
-        for _, x1 in finals[: 3 if obj.smooth else 8]:
-            polished.append(polish(obj.value, fg, x1, obj))
+    polished, steps = [polish(obj, xs[np.argmin(fs)])], 0
+    if polished[0][2] is None:
+        xs, fs = polyak_descent(obj.value_and_grad, xs, iters=iters)
+        steps = iters
+        for i in np.argsort(fs, kind="stable")[:3]:
+            polished.append(polish(obj, xs[i]))
             if polished[-1][2] is not None:
                 break
+    finals = [(float(fs[i]), xs[i]) for i in np.argsort(fs, kind="stable")]
     best_f, best_x = min([(f, x) for x, f, _ in polished] + finals, key=lambda t: t[0])
     brackets = [b for _, _, b in polished if b is not None]
 
     # a closed bracket proves optimality; the grid pass is for an open one
     used_grid = False
-    if not brackets and obj.subspace.dim and obj.subspace.dim <= grid_dim_limit:
+    if not brackets and obj.subspace.dim and obj.subspace.dim <= GRID_DIM_LIMIT:
         used_grid = True
         halfwidth = 2.0 * (1.0 + np.linalg.norm(best_x) + np.linalg.norm(obj.a))
         gx, gf = grid_refine(obj.value_many, best_x, halfwidth)
         if gf < best_f:
             best_x, best_f = gx, gf
-        x2, f2, bracket = polish(obj.value, fg, best_x, obj)
+        x2, f2, bracket = polish(obj, best_x)
         if f2 < best_f:
             best_x, best_f = x2, f2
         brackets += [] if bracket is None else [bracket]

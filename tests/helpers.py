@@ -141,15 +141,13 @@ def polyak_descent_one(fg, x0, iters=150):
     """One-start Polyak-step subgradient descent, the loop the lockstep
     `kyfan.solvers.polyak_descent` runs on every row of its stack.
 
-    fg(x) returns (value, subgradient or None) at a single point.
+    fg(x) returns (value, subgradient) at a single point.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, g = fg(x)
     best_x, best_f = x.copy(), fx
     slack = 0.1 * (1.0 + abs(fx))
     for _ in range(iters):
-        if g is None:
-            break
         gn = float(np.dot(g, g))
         if gn < 1e-30:
             break

@@ -9,7 +9,7 @@ import pytest
 from kyfan import solvers
 from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
-from kyfan.norms import NormSpec, _sigma_norm, norm
+from kyfan.norms import NormSpec, _sigma_norm, dual_norm, norm
 from kyfan.solvers import GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
 from kyfan.subdiff import canonical_extreme, descriptor
 
@@ -18,6 +18,8 @@ from helpers import polyak_descent_one
 
 SPECS = [NormSpec.spectral(), NormSpec.kyfan(2, 2), NormSpec.kyfan(3, 2),
          NormSpec.kyfan(7, 3), NormSpec.kyfan(3, 1), NormSpec.schatten(3)]
+# p < 2: the closed-form subgradient holds, the descriptor oracle does not
+LOW_P_SPECS = [NormSpec.schatten(1.3), NormSpec.kyfan(1.5, 2)]
 
 # random, tied across k = 2 and 3, and rank-deficient residual spectra
 SPECTRA = [None, [3.0, 2.0, 2.0, 2.0], [2.0, 1.0, 0.0, 0.0]]
@@ -56,15 +58,25 @@ def test_fused_gradient_matches_descriptor_oracle(rng, field, sigma):
 
 
 def test_fused_gradient_at_zero_and_below_p2(rng):
+    """0 at a zero residual; below p = 2 the pull-back of U_k diag((sigma_i/f)^(p-1)) V_k*,
+    which has dual norm 1 and pairing f (at p = 1 also on a rank-deficient residual)."""
     sub = MatrixSubspace([rand_complex(rng, 3, 3)], field="complex")
     obj = Objective(np.zeros((3, 3)), sub, NormSpec.kyfan(3, 2))
     f, g = obj.value_and_grad(np.zeros(2))
     assert f == 0.0 and np.array_equal(g, np.zeros(2))
     for spec in [NormSpec.kyfan(1.5, 2), NormSpec.trace()]:
-        obj = Objective(rand_complex(rng, 3, 3), sub, spec)
-        f, g = obj.value_and_grad(np.ones(2))
-        assert g is None
-        assert abs(f - obj.value(np.ones(2))) <= 1e-12 * f
+        for sigma in [None, [2.0, 1.0, 0.0]]:
+            a, sub, x = instance(rng, sigma, "complex", 3, 3, dim=1)
+            obj = Objective(a, sub, spec)
+            f, g = obj.value_and_grad(x)
+            r = obj.residual(x)
+            assert abs(f - norm(r, spec)) <= 1e-12 * f
+            p, k = obj.p_eff, obj.k_eff
+            u, s, vh = np.linalg.svd(r)
+            g_mat = (u[:, :k] * (s[:k] / f) ** (p - 1.0)) @ vh[:k]
+            assert np.linalg.norm(g - obj.pullback(g_mat)) <= 1e-12 * np.linalg.norm(g), spec
+            assert abs(dual_norm(g_mat, spec) - 1.0) <= 1e-12, spec
+            assert abs(np.vdot(g_mat, r).real - f) <= 1e-12 * f, spec
 
 
 def test_fused_gradient_central_difference(rng):
@@ -72,7 +84,7 @@ def test_fused_gradient_central_difference(rng):
     for t in range(12):
         field = ["real", "complex"][t % 2]
         a, sub, x = instance(rng, None, field, 3, 4)
-        for spec in SPECS:
+        for spec in SPECS + LOW_P_SPECS:
             obj = Objective(a, sub, spec)
             _, g = obj.value_and_grad(x)
             eye = np.eye(x.size)
@@ -224,7 +236,8 @@ def test_best_approx_descent_svd_count(rng, monkeypatch):
 # --- duality-gap bracket ------------------------------------------------------
 
 BRACKET_SPECS = [NormSpec.spectral(), NormSpec.kyfan(3, 2), NormSpec.kyfan(2, 1),
-                 NormSpec.schatten(4), NormSpec.schatten(2)]
+                 NormSpec.schatten(4), NormSpec.schatten(2), NormSpec.trace(),
+                 NormSpec.kyfan(1, 2), NormSpec.schatten(1.3), NormSpec.kyfan(1.5, 2)]
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -266,7 +279,7 @@ def test_bracket_closes_at_least_squares_point(rng):
     f, g = obj.value_and_grad(obj.a_x)
     lower, kind = obj.lower_bound(obj.a_x, f, g)
     assert abs(f - lower) <= 1e-13 * f and kind == "hoelder"
-    _, f2, bracket = polish(obj.value, obj.value_and_grad, obj.a_x, obj)
+    _, f2, bracket = polish(obj, obj.a_x)
     assert bracket is not None and abs(f2 - bracket[0]) <= GAP_TOL * (1.0 + f2)
 
 
@@ -290,6 +303,18 @@ def test_smooth_optimum_stops_on_the_bracket(rng, monkeypatch):
     assert grids == [] and res.trace["iterations"] == 0
     assert res.converged and abs(res.trace["duality_gap"]) <= GAP_TOL * (1.0 + res.value)
     assert certify_best(a, sub, spec, res).found
+
+
+def test_p_below_two_stops_on_the_bracket(rng, monkeypatch):
+    """Below p = 2 the solve takes the same path: the closed-form subgradient
+    drives BFGS and the Hoelder bound closes the bracket in the first polish."""
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field="complex")
+    methods, grids = count_local_work(monkeypatch)
+    res = best_approx(a, sub, NormSpec.schatten(1.3), starts=6, seed=0)
+    assert methods == ["BFGS"] and grids == [] and res.trace["iterations"] == 0
+    assert res.converged and res.trace["bound"] == "hoelder"
+    assert res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
 
 
 def hermitian_vs_identity(rng):
