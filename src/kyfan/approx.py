@@ -4,7 +4,10 @@ strict spectral approximant.
 best_approx minimizes ||A - Y|| over Y in the subspace for any supported norm;
 certify_best searches the subdifferential at the residual for an element
 orthogonal to the subspace (zero projection), which is the exact first-order
-optimality certificate for a convex problem.  strict_spectral builds the
+optimality certificate for a convex problem; pin_map turns it into linear
+equations every minimizer satisfies, which decide uniqueness
+(unique_1d_probe) and the shared top singular values
+(pk_singular_value_check).  strict_spectral builds the
 residual whose singular values are lexicographically minimal (Zietak's strict
 spectral approximant) the way Rice builds the strict Chebyshev approximant:
 a certified sigma_1 solve fixes the block of singular values its certificate
@@ -17,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CLAMP_REL, MatrixSubspace, as_matrix, spectrum_blocks
+from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, norm
-from .solvers import (GAP_TOL, Objective, coeffs_of_x, multistart_minimize, polish,
-                      polyak_descent, real_dim, real_rows, x_of_coeffs)
+from .solvers import (GAP_TOL, Objective, coeffs_of_x, multistart_minimize, real_dim,
+                      real_rows, x_of_coeffs)
 from .subdiff import descriptor, face_min_norm
 
 
@@ -119,7 +122,7 @@ def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0)
     p, k = _cert_face(spec, n0)
     if not subspace.dim:
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True, 0.0)
-    if np.linalg.norm(r) <= CLAMP_REL * np.linalg.norm(a):
+    if negligible(r, a):
         # zero residual up to round-off: Y = A attains the smallest conceivable value
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
 
@@ -136,6 +139,54 @@ def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0)
     return out
 
 
+# singular values of G below RANK_TOL of the largest are dropped
+RANK_TOL = 1e-6
+# singular values of the pin map up to NULL_TOL span its null space
+NULL_TOL = 1e-8
+
+
+@dataclass
+class PinMap:
+    u: np.ndarray       # U_G, m x r
+    v: np.ndarray       # V_G, n x r
+    values: np.ndarray  # the r pinned singular values
+    null: np.ndarray    # orthonormal columns: real coordinates of the free directions
+    least: float        # least singular value of the realified map
+
+
+def pin_map(res, subspace, cert):
+    """The equations the certificate G of the solve res fixes for every minimizer.
+
+    G is orthogonal to the subspace, so it is a subgradient at every other
+    minimizer R' too: R' V_G = U_G diag(values) and R'* U_G = V_G diag(values)
+    over G's singular pairs above RANK_TOL.  A pair with G-value tau is pinned
+    at f for the sigma_1 norms; for k >= 2 at f tau^(1/(p-1)) on a block fully
+    inside the top k, and at the boundary value sigma_k on the range of Q,
+    where tau is smaller.  A matrix-less certificate (zero residual) pins
+    every value at 0, one not found pins nothing.  null spans the directions
+    D with D V_G = 0 and D* U_G = 0, the only ones a minimizer can move along.
+    """
+    r = res.residual
+    m, n = r.shape
+    if not cert.found:
+        u, v, values = np.zeros((m, 0)), np.zeros((n, 0)), np.zeros(0)
+    elif cert.f_matrix is None:
+        u, v, values = np.eye(m), np.eye(n), np.zeros(min(m, n))
+    else:
+        ug, tau, vgh = np.linalg.svd(cert.f_matrix)
+        rank = int(np.sum(tau > RANK_TOL * tau[0]))
+        u, v = ug[:, :rank], vgh[:rank].conj().T
+        p, k = _cert_face(res.spec, min(m, n))
+        values = np.full(rank, res.value) if k == 1 else np.maximum(
+            res.value * tau[:rank] ** (1.0 / (p - 1.0)), res.sigma[k - 1])
+    rows = real_rows(subspace).reshape((-1,) + r.shape)
+    cmap = np.concatenate([(rows @ v).reshape(len(rows), -1),
+                           (rows.conj().transpose(0, 2, 1) @ u).reshape(len(rows), -1)], axis=1)
+    q, s, _ = np.linalg.svd(np.concatenate([cmap.real, cmap.imag], axis=1))
+    s = np.concatenate([s, np.zeros(len(q) - s.size)])
+    return PinMap(u=u, v=v, values=values, null=q[:, s <= NULL_TOL], least=float(s[-1]))
+
+
 @dataclass
 class UniquenessProbe:
     unique_predicted: bool
@@ -143,17 +194,23 @@ class UniquenessProbe:
     spread: float
     violation: bool
     best_value: float
-    alphas: list
-    values: list
+    certified: bool     # certify_best certified the solve
+    null_dim: int       # free real directions of its pin map; certified and 0 prove uniqueness
+    null_sigma: float   # least singular value of the pin map
 
 
 def unique_1d_probe(a, x, p, k, trials=12, seed=0):
-    """Probe uniqueness of the best (p, k)-approximation from span{X}.
+    """Decide uniqueness of the best (p, k)-approximation from span{X}.
 
-    Predicted unique when rank(X) > n - k (columns n); empirically, minimizers
-    found from scattered starts over the complex plane are collected and their
-    spread reported.  A plateau of minimizers shows up as a large spread at
-    equal values; violation is set when a predicted-unique instance spreads.
+    Predicted unique when rank(X) > n - k (columns n).  One best_approx solve
+    from trials starts is certified and its pin_map decides: every minimizer
+    lies in the certified point plus the null space, so a null space of 0
+    proves it unique (spread 0).  Otherwise trials chords through the point,
+    fanned over the null space (the whole span without a certificate), are
+    bisected where the value reaches f (1 + GAP_TOL); spread is the largest
+    distance between two chord ends, a lower bound on the diameter of that
+    level set.  violation is set when a predicted-unique instance spreads
+    beyond 1e-5.  p < 2 raises UnsupportedError, as certify_best does.
     """
     a = as_matrix(a)
     x = as_matrix(x)
@@ -165,34 +222,34 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
         raise InvalidInputError("X must be nonzero")
     spec = NormSpec.kyfan(p, k)
     n0 = min(a.shape)
-    _, k_eff = spec.resolve(n0)
-    predicted = rank_x > a.shape[1] - k_eff
+    _cert_face(spec, n0)  # p < 2 raises before the solve
+    predicted = rank_x > a.shape[1] - spec.resolve(n0)[1]
 
     sub = MatrixSubspace([x], field="complex")
-    obj = Objective(a, sub, spec)
-    rng = np.random.default_rng(seed)
-    scale = 1.0 + float(np.abs(sub.coefficients(a)[0]))
-    starts = [np.zeros(2), x_of_coeffs(sub.coefficients(a), sub)]
-    while len(starts) < trials:
-        starts.append(scale * rng.standard_normal(2))
-    starts, _ = polyak_descent(obj.value_and_grad, np.array(starts), iters=120)
-
-    endpoints = []
-    for x1 in starts:
-        x2, f2, _ = polish(obj, x1)
-        endpoints.append((f2, x2))
-    best = min(f for f, _ in endpoints)
-    keep = [coeffs_of_x(xv, sub)[0] for f, xv in endpoints
-            if f <= best + 1e-8 * (1.0 + abs(best))]
-    spread = 0.0
-    for i in range(len(keep)):
-        for j in range(i + 1, len(keep)):
-            spread = max(spread, abs(keep[i] - keep[j]))
-    return UniquenessProbe(unique_predicted=predicted, rank_x=rank_x,
-                           spread=float(spread),
+    res = best_approx(a, sub, spec, starts=trials, seed=seed)
+    cert = certify_best(a, sub, spec, res)
+    pins = pin_map(res, sub, cert)
+    x0 = x_of_coeffs(res.coefficients, sub)
+    ends = x0[None]
+    free = pins.null.shape[1]  # 0, 1 or 2 real directions
+    if free:
+        angle = np.pi * np.arange(trials if free > 1 else 1) / trials
+        dirs = np.stack([np.cos(angle), np.sin(angle)], axis=1)[:, :free] @ pins.null.T
+        dirs = np.concatenate([dirs, -dirs])
+        level = res.value * (1.0 + GAP_TOL)
+        # ||R + tD|| >= t ||D||_F / sqrt(n0) - f for unit D: the value exceeds level at hi
+        lo, hi = np.zeros(len(dirs)), np.full(len(dirs), 2.0 * np.sqrt(n0) * (level + res.value))
+        obj = Objective(a, sub, spec)
+        while np.any(hi - lo > 1e-10 * hi):  # chord ends to 1e-10 of the ray
+            mid = (lo + hi) / 2.0
+            inside = obj.value_many(x0 + mid[:, None] * dirs) <= level
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        ends = x0 + lo[:, None] * dirs
+    spread = float(np.max(np.linalg.norm(ends[:, None] - ends[None], axis=-1)))
+    return UniquenessProbe(unique_predicted=predicted, rank_x=rank_x, spread=spread,
                            violation=bool(predicted and spread > 1e-5),
-                           best_value=float(best),
-                           alphas=keep, values=sorted(f for f, _ in endpoints))
+                           best_value=float(res.value), certified=bool(cert.found),
+                           null_dim=free, null_sigma=pins.least)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +282,6 @@ class StrictApproxResult:
     flags: list
 
 
-# eigenvalues of the certificate's T below RANK_TOL of the largest are dropped
-RANK_TOL = 1e-6
-# singular values of the deflation constraint map up to NULL_TOL span its null space
-NULL_TOL = 1e-8
-
-
 def _complement(u):
     """Orthonormal basis of the orthogonal complement of the orthonormal columns u."""
     return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
@@ -240,15 +291,13 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
     """Strict spectral approximant by certified deflation.
 
     Each stage solves the sigma_1 problem on the current compression with
-    best_approx and certifies it (certify_best): G = U_T T V_T* in the face at
-    the residual, with T's eigenvalues below RANK_TOL of the largest dropped,
-    has Re<G, A - Y'> = m for every Y' in the subspace, so every minimizer
-    satisfies R V_T = m U_T and R* U_T = m V_T.  Those are linear in the real
-    coordinates; their null space (NULL_TOL) maps onto a real-field subspace
-    of the compression U_perp* R V_perp, the next stage's problem.  A dropped
-    tied value is fixed again by the next stage.  The loop stops when the
+    best_approx and certifies it (certify_best).  Every minimizer then
+    satisfies the pin equations R V_G = m U_G and R* U_G = m V_G of pin_map;
+    their null space maps onto a real-field subspace of the compression
+    U_perp* R V_perp, the next stage's problem.  A tied value that RANK_TOL
+    drops is fixed again by the next stage.  The loop stops when the
     compression or its freedom is empty (the remaining singular values are
-    then fixed), at a zero residual (CLAMP_REL ||A||_F) or at a stage that is
+    then fixed), at a zero residual (core.negligible) or at a stage that is
     not certified.  stage_tol is the accuracy each certified stage
     guarantees, GAP_TOL (1 + sigma_1).
     """
@@ -260,7 +309,6 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
         raise InvalidInputError("cannot approximate from an empty subspace")
     spectral = NormSpec.spectral()
     n0 = min(a.shape)
-    zero = CLAMP_REL * np.linalg.norm(a)
     x = np.zeros(real_dim(subspace))
     to_x = np.eye(x.size)  # current stage coordinates -> x
     cur, sub = a, subspace
@@ -269,7 +317,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
         res = best_approx(cur, sub, spectral, starts=starts, iters=iters,
                           seed=seed + 101 * len(pins))
         x = x + to_x @ x_of_coeffs(res.coefficients, sub)
-        if res.value <= zero:
+        if negligible(res.residual, a):
             # every remaining value is 0, up to round-off
             pins.append((min(cur.shape), 0.0, res.converged, 0.0))
             break
@@ -278,22 +326,15 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
             # nothing proven to deflate on: the rest stays as this point leaves it
             pins.append((min(cur.shape), None, False, cert.residual_perp))
             break
-        ug, tau, vgh = np.linalg.svd(cert.f_matrix)
-        r = int(np.sum(tau > RANK_TOL * tau[0]))
-        u_t, v_t = ug[:, :r], vgh[:r].conj().T
-        pins.append((r, res.value, res.converged, cert.residual_perp))
-        rows = real_rows(sub).reshape((-1,) + cur.shape)
-        cmap = np.concatenate([(rows @ v_t).reshape(len(rows), -1),
-                               (rows.conj().transpose(0, 2, 1) @ u_t).reshape(len(rows), -1)],
-                              axis=1)
-        q, s, _ = np.linalg.svd(np.concatenate([cmap.real, cmap.imag], axis=1))
-        null = q[:, np.concatenate([s, np.zeros(len(q) - s.size)]) <= NULL_TOL]
-        u_p, v_p = _complement(u_t), _complement(v_t)
+        pm = pin_map(res, sub, cert)
+        pins.append((pm.values.size, res.value, res.converged, cert.residual_perp))
+        u_p, v_p = _complement(pm.u), _complement(pm.v)
         cur = u_p.conj().T @ res.residual @ v_p
-        if not (cur.size and null.size):
+        if not (cur.size and pm.null.size):
             break
-        to_x = to_x @ null
-        sub = MatrixSubspace(list(u_p.conj().T @ np.tensordot(null.T, rows, axes=1) @ v_p),
+        rows = real_rows(sub).reshape((-1,) + res.residual.shape)
+        to_x = to_x @ pm.null
+        sub = MatrixSubspace(list(u_p.conj().T @ np.tensordot(pm.null.T, rows, axes=1) @ v_p),
                              field="real")
 
     coeffs = coeffs_of_x(x, subspace)
@@ -301,7 +342,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
     residual = a - y
     sigma = np.linalg.svd(residual, compute_uv=False)
     blocks = spectrum_blocks(sigma)
-    values = [float(v) for v in np.sqrt(np.cumsum(sigma * sigma))]
+    values = [float(v) for v in np.hypot.accumulate(sigma)]
     stage_tol = GAP_TOL * (1.0 + float(sigma[0]))
     log, fixed = [], 0
     # the values left once the compression or its freedom is empty need no solve
@@ -348,42 +389,38 @@ class PkCheckReport:
     passed: bool
     max_deviation: float
     gap_tol: float
-    sigmas: list
-    values: list
+    sigma: np.ndarray   # the residual spectrum of the one solve
+    value: float
+    pinned: np.ndarray  # sigma_1..sigma_k of every minimizer; fewer when fewer are pinned
+    certified: bool
 
 
 def pk_singular_value_check(a, subspace, p, k, trials=10, gap_tol=1e-6,
                             seed=0, starts=10, iters=120):
-    """Re-solve the (p, k) approximation from independent seeds and test that
-    sigma_1..sigma_k of the residual agree whenever some run shows a gap
-    sigma_k > sigma_{k+1} + gap_tol (all minimizers then share those values)."""
+    """Do all best (p, k)-approximations from the subspace share sigma_1..sigma_k?
+
+    One solve is certified; every minimizer satisfies the pin equations of
+    its certificate (pin_map), so the k largest pinned values are
+    sigma_1..sigma_k of them all.  applicable: the residual shows a gap
+    sigma_k > sigma_{k+1} + gap_tol; max_deviation: the solve's own
+    sigma_1..sigma_k against the pinned ones; passed: not applicable, or all
+    k are pinned and within 1e-6 of the solve's.
+    trials is accepted for compatibility; p < 2 raises UnsupportedError.
+    """
     a = as_matrix(a)
     spec = NormSpec.kyfan(p, k)
-    n0 = min(a.shape)
-    _, k_eff = spec.resolve(n0)
+    _, k_eff = spec.resolve(min(a.shape))
     if not subspace.dim:
         # no freedom: the one residual is A itself
         s = np.linalg.svd(a, compute_uv=False)
-        nxt = s[k_eff] if k_eff < s.size else 0.0
-        return PkCheckReport(applicable=bool(s[k_eff - 1] > nxt + gap_tol), passed=True,
-                             max_deviation=0.0, gap_tol=gap_tol, sigmas=[s],
-                             values=[float(norm(a, spec))])
-    sigmas = []
-    vals = []
-    for t in range(trials):
-        r = best_approx(a, subspace, spec, starts=starts, iters=iters, seed=seed + 977 * t)
-        sigmas.append(r.sigma)
-        vals.append(r.value)
-    applicable = False
-    for s in sigmas:
-        nxt = s[k_eff] if k_eff < s.size else 0.0
-        if s[k_eff - 1] > nxt + gap_tol:
-            applicable = True
-            break
-    dev = 0.0
-    for i in range(len(sigmas)):
-        for j in range(i + 1, len(sigmas)):
-            dev = max(dev, float(np.max(np.abs(sigmas[i][:k_eff] - sigmas[j][:k_eff]))))
-    passed = (not applicable) or dev <= 1e-6
-    return PkCheckReport(applicable=applicable, passed=passed, max_deviation=dev,
-                         gap_tol=gap_tol, sigmas=sigmas, values=vals)
+        pinned, certified, value = s[:k_eff], True, float(norm(a, spec))
+    else:
+        res = best_approx(a, subspace, spec, starts=starts, iters=iters, seed=seed)
+        cert = certify_best(a, subspace, spec, res)
+        s, value, certified = res.sigma, res.value, cert.found
+        pinned = np.sort(pin_map(res, subspace, cert).values)[::-1][:k_eff]
+    applicable = bool(s[k_eff - 1] > (s[k_eff] if k_eff < s.size else 0.0) + gap_tol)
+    dev = float(np.max(np.abs(s[:pinned.size] - pinned), initial=0.0))
+    return PkCheckReport(applicable=applicable, max_deviation=dev, gap_tol=gap_tol,
+                         passed=not applicable or (certified and pinned.size == k_eff and dev <= 1e-6),
+                         sigma=s, value=value, pinned=pinned, certified=bool(certified))

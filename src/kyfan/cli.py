@@ -424,7 +424,8 @@ def _cmd_counterexample(args):
                    "sigma3_conclusion": e.sigma3_conclusion}
                   for e in rep.chain],
         "uniqueness": [{"p": p, "predicted": pr.unique_predicted,
-                        "spread": pr.spread, "violation": pr.violation}
+                        "spread": pr.spread, "violation": pr.violation,
+                        "certified": pr.certified, "null_sigma": pr.null_sigma}
                        for p, pr in rep.uniqueness],
         "hypothetical_excluded": rep.hypothetical_excluded,
         "flags": rep.flags,

@@ -32,6 +32,15 @@ def as_matrix(a):
     return a
 
 
+def negligible(r, a):
+    """Is ||r||_F <= CLAMP_REL ||a||_F?  Both are divided by max |a_ij| first, so
+    that neither norm under- or overflows; next to a = 0 only r = 0 is negligible."""
+    s = np.max(np.abs(a), initial=0.0)
+    if s == 0.0:
+        return not np.any(r)
+    return bool(np.linalg.norm(r / s) <= CLAMP_REL * np.linalg.norm(a / s))
+
+
 def _clamp_small(vals, scale):
     vals = np.asarray(vals, dtype=float).copy()
     if scale > 0:

@@ -158,3 +158,54 @@ def polyak_descent_one(fg, x0, iters=150):
             best_f, best_x = fx, x.copy()
         slack *= 0.93
     return best_x, best_f
+
+
+def repetition_probe(a, x, p, k, trials=12, seed=0):
+    """Uniqueness by repetition: the cross-check for `kyfan.unique_1d_probe`.
+
+    Scattered starts over the complex plane descend in lockstep (Polyak
+    steps), each is polished, and the spread of the polished points within
+    1e-8 of the best value is returned with that value: (spread, best).  A
+    plateau of minimizers shows as a large spread, but the starts need not
+    reach its far ends, so the spread only bounds its diameter from below.
+    """
+    from kyfan.core import MatrixSubspace
+    from kyfan.norms import NormSpec
+    from kyfan.solvers import Objective, coeffs_of_x, polish, polyak_descent, x_of_coeffs
+
+    a, x = as_matrix(a), as_matrix(x)
+    sub = MatrixSubspace([x], field="complex")
+    obj = Objective(a, sub, NormSpec.kyfan(p, k))
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + float(np.abs(sub.coefficients(a)[0]))
+    starts = [np.zeros(2), x_of_coeffs(sub.coefficients(a), sub)]
+    while len(starts) < trials:
+        starts.append(scale * rng.standard_normal(2))
+    starts, _ = polyak_descent(obj.value_and_grad, np.array(starts), iters=120)
+    ends = [polish(obj, x1)[:2] for x1 in starts]
+    best = min(f for _, f in ends)
+    keep = [coeffs_of_x(xv, sub)[0] for xv, f in ends if f <= best + 1e-8 * (1.0 + abs(best))]
+    spread = max(abs(c1 - c2) for c1 in keep for c2 in keep)
+    return float(spread), float(best)
+
+
+def uniqueness_instances():
+    """Acceptance criterion 6's instances in its order, as (full_rank, a, x, p, k, seed):
+    30 with full-rank X (unique by the rank criterion), then 10 with rank-1 X
+    whose minimizers fill the disk |s_1 - c| <= b."""
+    rng = np.random.default_rng(606)
+
+    def rand_complex(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    for i in range(30):
+        n = 3 + i % 2
+        a = rand_complex(n, n)
+        yield True, a, rand_complex(n, n), [2.0, 3.0][i % 2], 1 + i % 2, i
+    for i in range(10):
+        n = 3 + i % 3
+        s1, b = rng.uniform(1.5, 3.0), rng.uniform(0.5, 1.0)
+        qu, _ = np.linalg.qr(rand_complex(n, n))
+        qv, _ = np.linalg.qr(rand_complex(n, n))
+        a = (qu * np.array([s1] + [b] * (n - 1))) @ qv.conj().T
+        yield False, a, np.outer(qu[:, 0], qv[:, 0].conj()), 2.0, 1, 100 + i

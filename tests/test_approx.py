@@ -15,6 +15,7 @@ from kyfan.lab import counterexample_instance
 from kyfan.norms import NormSpec, norm
 
 from conftest import lambda_min_norm, rand_complex
+from helpers import repetition_probe, uniqueness_instances
 
 A31 = np.diag([3.0, 1.0, 0.0]).astype(complex)
 SPAN_I3 = MatrixSubspace([np.eye(3)], field="complex")
@@ -241,6 +242,72 @@ def test_unique_probe_validation():
         unique_1d_probe(np.eye(3), np.eye(2), 2, 1)
 
 
+def test_unique_probe_p_below_two_unsupported():
+    with pytest.raises(UnsupportedError):
+        unique_1d_probe(np.eye(3), np.eye(3), 1.5, 2)
+
+
+def test_unique_probe_needs_both_pin_equations():
+    # sigma_1(A - alpha X) = sqrt(1 + |alpha|^2) is least at alpha = 0 only, where
+    # G = e1 e1*; X V_G = 0, so only R* U_G = f V_G keeps X from moving the minimizer
+    a = np.diag([1.0, 0.0])
+    x = np.array([[0.0, 1.0], [0.0, 0.0]])
+    probe = unique_1d_probe(a, x, p=2, k=1, seed=0)
+    assert probe.certified and probe.null_dim == 0 and probe.null_sigma >= 0.5
+    assert probe.spread == 0.0 and abs(probe.best_value - 1.0) <= 1e-9
+
+
+def test_unique_probe_against_repetition_oracle():
+    """On full-rank X the certificate proves uniqueness and repetition finds no
+    spread; on rank-1 X the chords reach at least as far apart as the
+    repetition oracle's polished starts, which under-report the disk."""
+    for i, (full, a, x, p, k, seed) in enumerate(uniqueness_instances()):
+        if full and i % 3:
+            continue  # every third full-rank instance keeps the test short
+        probe = unique_1d_probe(a, x, p, k, trials=10, seed=seed)
+        spread, best = repetition_probe(a, x, p, k, trials=10, seed=seed)
+        assert abs(probe.best_value - best) <= 1e-7 * best, i
+        if full:
+            assert probe.certified and probe.null_dim == 0 and probe.spread == 0.0, i
+            assert spread <= 1e-5, i
+        else:
+            assert probe.certified and probe.null_dim == 2, i
+            assert probe.spread >= spread - 1e-6, i
+
+
+def test_unique_probe_without_certificate_fans_over_the_span(monkeypatch):
+    # nothing pinned: the chords fan over the whole span; on the plateau
+    # max(|2 - alpha|, 1) the minimizers fill the disk |2 - alpha| <= 1
+    import kyfan.approx as approx
+
+    certify = approx.certify_best
+
+    def not_found(*args, **kw):
+        out = certify(*args, **kw)
+        out.found = False
+        return out
+
+    monkeypatch.setattr(approx, "certify_best", not_found)
+    x = np.zeros((3, 3))
+    x[0, 0] = 1.0
+    probe = unique_1d_probe(np.diag([2.0, 1.0, 1.0]), x, p=2, k=1, seed=0)
+    assert not probe.certified and probe.null_dim == 2 and probe.null_sigma == 0.0
+    assert 2.0 * np.cos(np.pi / 12) <= probe.spread <= 2.0 + 1e-6
+
+
+def test_probe_and_pk_check_solve_once(monkeypatch):
+    import kyfan.approx as approx
+
+    calls = []
+    solve = approx.best_approx
+    monkeypatch.setattr(approx, "best_approx", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    a, x = counterexample_instance()
+    assert unique_1d_probe(a, x, p=3, k=2, seed=0).spread == 0.0
+    rep = pk_singular_value_check(a, span_of(x), p=3, k=2, trials=10, seed=0)
+    assert rep.passed and rep.certified and rep.pinned.size == 2
+    assert len(calls) == 2
+
+
 # --- strict spectral ----------------------------------------------------------
 
 
@@ -344,6 +411,20 @@ def test_strict_spectrum_respects_the_symmetries(rng):
         assert np.max(np.abs(nudged.sigma - ref.sigma)) <= 1e-7, i
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_strict_survives_underflowing_norms(scale):
+    # ||A||_F and ||R||_F both underflow to 0 here: no residual may pass for
+    # zero, and the values sqrt(sigma_1^2 + ... + sigma_k^2) must not underflow
+    a = scale * A31
+    st = strict_spectral(a, SPAN_I3, starts=4, seed=0)
+    assert st.flags or np.allclose(st.sigma / scale, [1.5, 1.5, 0.5], rtol=1e-6)
+    s = st.sigma / scale
+    assert np.allclose(np.array(st.values) / scale, np.sqrt(np.cumsum(s * s)), rtol=1e-12, atol=0)
+    res = best_approx(a, SPAN_I3, NormSpec.spectral(), starts=4, seed=0)
+    cert = certify_best(a, SPAN_I3, NormSpec.spectral(), res)
+    assert cert.f_matrix is not None or not cert.found
+
+
 def test_strict_validation():
     with pytest.raises(InvalidInputError):
         strict_spectral(np.eye(2), SPAN_I3)
@@ -387,8 +468,9 @@ def test_lex_compare_length_mismatch():
 def test_pk_check_counterexample():
     a, x = counterexample_instance()
     rep = pk_singular_value_check(a, span_of(x), p=4, k=2, trials=6, seed=0)
-    assert rep.applicable and rep.passed
+    assert rep.applicable and rep.passed and rep.certified
     assert rep.max_deviation <= 1e-7
+    assert np.max(np.abs(rep.pinned - rep.sigma[:2])) <= 1e-7
 
 
 def test_pk_check_zero_dim_subspace():

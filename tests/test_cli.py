@@ -186,6 +186,18 @@ def test_forced_nonconvergence_exits_3(capsys, tmp_path):
     assert code == 0 and json.loads(out)["converged"]
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_strict_underflowing_matrix_prints_json(capsys, files, tmp_path, scale):
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({"rows": 3, "cols": 3,
+                             "data": [3 * scale, 0, 0, 0, scale, 0, 0, 0, 0]}))
+    code, out, _ = run(capsys, "strict", "--matrix", str(p), "--subspace", files["sub_i3"],
+                       "--starts", "4")
+    payload = json.loads(out)
+    assert code == (3 if payload["flags"] else 0)
+    assert len(payload["sigma"]) == 3 and payload["values"][0] == payload["sigma"][0] > 0.0
+
+
 def test_zero_residual_converges_in_one_iteration(capsys, files, tmp_path):
     # A = diag(3, 1, 0) lies in the diagonal subspace: the least-squares start
     # reaches residual 0, where the bracket [0, 0] proves optimality
@@ -399,6 +411,7 @@ def test_counterexample_deterministic_stdout(capsys, files, tmp_path):
         assert e["top2_inequality"] and e["full_inequality"] and e["sigma3_conclusion"]
     for u in payload["uniqueness"]:
         assert u["predicted"] and u["spread"] <= 1e-6 and not u["violation"]
+        assert u["certified"] and u["null_sigma"] > 1e-8
     rows = out_csv.read_bytes().split(b"\r\n")
     assert len([l for l in rows if l]) == 5
 

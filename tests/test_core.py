@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kyfan.core import MatrixSubspace, as_matrix, spectrum_blocks, svd
+from kyfan.core import MatrixSubspace, as_matrix, negligible, spectrum_blocks, svd
 from kyfan.errors import InvalidInputError
 
 from conftest import rand_complex
@@ -226,3 +226,13 @@ def test_empty_subspace_with_shape():
 def test_as_matrix_widens_real():
     a = as_matrix(np.eye(2))
     assert a.dtype == complex
+
+
+def test_negligible_is_scale_free():
+    # at 1e-300 and 1e300 ||A||_F itself under- and overflows
+    a = np.diag([3.0, 1.0, 0.0])
+    for s in (1e-300, 1e-200, 1.0, 1e200, 1e300):
+        assert negligible(1e-16 * s * a, s * a), s
+        assert not negligible(1e-10 * s * a, s * a), s
+    assert negligible(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert not negligible(1e-300 * np.eye(2), np.zeros((2, 2)))
