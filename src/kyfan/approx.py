@@ -46,13 +46,13 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
     """Minimize ||A - Y||_spec over Y in the subspace.
 
     The start of least value (extra_coeffs included) is polished first, with
-    kink Newton steps for the sigma_1 norms, and the solve stops once the
-    duality-gap bracket closes: trace["duality_gap"] is its width,
-    trace["bound"] the bound that closed it ("hoelder" or "face") and
-    trace["iterations"] the Polyak steps run, 0 then.  Only while it stays
-    open do starts and iters act: multi-start subgradient descent, the polish
-    of the 3 best finals with Nelder-Mead, and for subspaces of dimension
-    <= solvers.GRID_DIM_LIMIT a coarse-to-fine grid pass.
+    kink Newton steps for the sigma_1 norms, and stops at the first certifiable
+    duality-gap bracket: trace["duality_gap"] is its width, trace["bound"] the
+    bound that closed it ("hoelder" or "face"), trace["iterations"] the Polyak
+    steps run (0 then) and trace["evaluations"] the residuals factorized.
+    Only while it stays open do starts and iters act: multi-start subgradient
+    descent, the polish of the 3 best finals with Nelder-Mead, and for
+    subspaces of dimension <= solvers.GRID_DIM_LIMIT a coarse-to-fine grid pass.
     extra_coeffs seeds additional starts (warm starting across a parameter sweep).
     """
     a = as_matrix(a)
@@ -75,7 +75,7 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
         flags.append("unconverged")
     trace = {"starts": out.starts_run, "iterations": out.iterations,
              "start_gap": out.gap, "start_values": out.start_values[:8],
-             "duality_gap": out.duality_gap, "bound": out.bound}
+             "duality_gap": out.duality_gap, "bound": out.bound, "evaluations": obj.evaluations}
     return ApproximationResult(coefficients=coeffs, y=y, value=out.value,
                                residual=residual, sigma=sigma, spec=spec,
                                converged=out.converged, trace=trace, flags=flags)

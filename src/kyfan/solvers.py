@@ -9,16 +9,17 @@ extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*, which has dual norm 1
 and pairing ||R|| for every p >= 1 (Watson 1992).
 
 A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.
-The start of least value is polished first: BFGS with the exact gradient,
-then the lower bound (Hoelder from the last subgradient, or the face bound at
-a kink).  At a sigma_1 kink, where BFGS cannot reach the tie, Newton steps
-for the multiple eigenvalue (Overton 1988) land on it and the face bound
-closes there.  Only while the bracket stays open (kinks the Newton step
-misses, and kinks of p < 2, which have no face bound) do the budgets act:
-multi-start Polyak-step subgradient descent with all starts in lockstep and one
-stacked SVD per step, the polish of the best finals, Nelder-Mead and, for
-subspaces of dimension <= GRID_DIM_LIMIT, a coarse-to-fine grid pass evaluated
-with batched SVDs.
+The start of least value is polished first: BFGS with the exact gradient
+stops at the first certifiable bracket (Hoelder, with ||P_S G|| small enough
+for certify_best), else its end point gets the lower bound (Hoelder, or the
+face bound at a kink).  At a sigma_1 kink, where BFGS cannot reach the tie,
+Newton steps for the multiple eigenvalue (Overton 1988) land on it and the
+face bound closes there.  Only while the bracket stays open (kinks the Newton
+step misses, and kinks of p < 2, which have no face bound) do the budgets
+act: multi-start Polyak-step subgradient descent with all starts in lockstep
+and one stacked SVD per step, the polish of the best finals, Nelder-Mead and,
+for subspaces of dimension <= GRID_DIM_LIMIT, a coarse-to-fine grid pass
+evaluated with batched SVDs.
 """
 
 from __future__ import annotations
@@ -109,10 +110,13 @@ class Objective:
         self.rows = real_rows(subspace)
         self._rows_h = self.rows.conj().T
         self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
+        self.evaluations = 0  # residuals formed: values, subgradients, face bounds, Newton steps
+        self.last = None  # (x, f, g) of the last value_and_grad call
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
         x = np.asarray(x)
+        self.evaluations += int(np.prod(x.shape[:-1]))
         return self.a - (x @ self.rows).reshape(x.shape[:-1] + self.a.shape)
 
     def value(self, x):
@@ -134,14 +138,15 @@ class Objective:
         zero singular values among the top k; at a zero residual this gives
         U_k V_k*, also a subgradient there, and 0 for p > 1.  A stack of
         points gives a stack of values and gradients; one point gives a float
-        and a vector.
+        and a vector.  The call is kept in self.last.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
         f = _sigma_norm(s, self.p, self.k)
         k = self.k_eff
         ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
         g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
-        return (float(f), g) if np.ndim(x) == 1 else (f, g)
+        self.last = (np.array(x, dtype=float),) + ((float(f), g) if np.ndim(x) == 1 else (f, g))
+        return self.last[1:]
 
     def lower_bound(self, x, f, g):
         """Lower bound on min f at x from f and the pulled-back subgradient g there.
@@ -155,18 +160,17 @@ class Objective:
         ||P_S G|| (face_min_norm), and the exact dual norm of F.  At a kink
         optimum the extreme G misses the orthogonal complement and this G meets
         it; the grouping only decides how tight the bound is.  The face bound
-        counts only when ||P_S G|| is small enough to move it by at most
+        counts only when ||P_S G|| <= face_tol(f), which moves it by at most
         GAP_TOL (1 + f) / 2.  It is tight to second order in ||P_S G||, so it
         would close earlier, but then at points that certify_best cannot
         certify.  The face is described for p >= 2 only, so below that the
         bound is Hoelder's.
         """
-        n0 = min(self.a.shape)
-        low = max(0.0, float((f + g @ (self.a_x - x)) / (1.0 + np.sqrt(n0) * np.linalg.norm(g))))
+        low = self.hoelder(x, f, g)
         if closes(f, low) or self.p_eff < 2:
             return low, "hoelder"
         desc = descriptor(self.residual(x), self.p_eff, self.k_eff, tol=KINK_TOL)
-        tol = GAP_TOL * (1.0 + f) / (4.0 * np.sqrt(n0) * f)
+        tol = self.face_tol(f)
         face = face_min_norm(desc, self.subspace.onb, self.subspace.field, tol=tol, max_iter=40)
         gx = (self.rows.conj() @ face.g.ravel()).real  # coordinates of P_S G
         dual = dual_norm(face.g - (gx @ self.rows).reshape(self.a.shape), self.spec)
@@ -175,6 +179,15 @@ class Objective:
             if face_low > low:
                 return face_low, "face"
         return low, "hoelder"
+
+    def hoelder(self, x, f, g):
+        """The Hoelder bound of lower_bound, from f and g alone: no SVD."""
+        n0 = min(self.a.shape)
+        return max(0.0, float((f + g @ (self.a_x - x)) / (1.0 + np.sqrt(n0) * np.linalg.norm(g))))
+
+    def face_tol(self, f):
+        """The ||P_S G|| up to which the face bound counts and polish's BFGS stops."""
+        return GAP_TOL * (1.0 + f) / (4.0 * np.sqrt(min(self.a.shape)) * f) if f > 0 else np.inf
 
     def newton_step(self, x, mult=None, t=None):
         """Newton step for sigma_1 = lambda_max(M(x)) at a multiple eigenvalue (Overton 1988).
@@ -259,17 +272,26 @@ def polish(obj, x0):
     """Local refinement of the Objective obj from x0: BFGS on obj.value_and_grad,
     then Nelder-Mead on obj.value.
 
-    The bracket is checked at BFGS's final point and, for sigma_1 norms
-    (k_eff = 1), after each accepted kink Newton step; the first that closes
-    ends the polish.  Returns (x, f, bracket) with bracket = (lower, kind)
-    from obj.lower_bound when it closed, else None after Nelder-Mead.
+    BFGS stops at the first iterate whose Hoelder bound closes the bracket
+    with ||g|| <= obj.face_tol(f), both read off obj.last: no extra SVD; else
+    the bracket is checked at its final point and, for sigma_1 norms
+    (k_eff = 1), after each accepted kink Newton step.  Returns (x, f,
+    bracket) with bracket = (lower, kind) from obj.lower_bound when it
+    closed, else None after Nelder-Mead.
     """
     best_x = np.asarray(x0, dtype=float).copy()
-    best_f = obj.value(best_x)
+    best_f = obj.value_and_grad(best_x)[0]  # BFGS's kernel, so an optimal start is kept
     if best_x.size == 0:
         return best_x, best_f, None
+
+    def stop(intermediate_result):
+        x, f, g = obj.last
+        if (np.array_equal(x, intermediate_result.x) and closes(f, obj.hoelder(x, f, g))
+                and np.linalg.norm(g) <= obj.face_tol(f)):
+            raise StopIteration
+
     try:
-        res = minimize(obj.value_and_grad, best_x, jac=True, method="BFGS",
+        res = minimize(obj.value_and_grad, best_x, jac=True, method="BFGS", callback=stop,
                        options={"gtol": 1e-12, "maxiter": 300})
     except Exception:
         res = None

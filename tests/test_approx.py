@@ -62,7 +62,7 @@ def test_best_approx_matches_grid_oracle(rng):
 def test_best_approx_trace_and_sigma():
     res = best_approx(A31, SPAN_I3, NormSpec.schatten(2), starts=6, seed=0)
     assert set(res.trace) == {"starts", "iterations", "start_gap", "start_values",
-                              "duality_gap", "bound"}
+                              "duality_gap", "bound", "evaluations"}
     # the Frobenius optimum is smooth: the first polish closes on the Hoelder bound
     assert res.trace["iterations"] == 0 and res.trace["bound"] == "hoelder"
     s = np.linalg.svd(res.residual, compute_uv=False)

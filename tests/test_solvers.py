@@ -358,3 +358,91 @@ def test_kink_newton_adds_a_tied_value_when_a_step_rises(monkeypatch):
     assert methods == ["BFGS"] and grids == [] and res.trace["iterations"] == 0
     assert res.trace["bound"] == "face" and res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
     assert np.max(np.abs(res.sigma - [1.5, 1.5, 0.5])) <= 1e-12
+
+
+# --- where the polish stops ---------------------------------------------------
+
+def count_value_and_grad(monkeypatch):
+    calls = []
+    value_and_grad = Objective.value_and_grad
+    monkeypatch.setattr(Objective, "value_and_grad",
+                        lambda self, x: calls.append(1) or value_and_grad(self, x))
+    return calls
+
+
+def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
+    """The smooth dim-3 solve of test_best_approx_descent_svd_count: BFGS stops at its first iterate whose
+    Hoelder bound closes the bracket with ||g|| <= face_tol(f).  Run on to
+    gtol = 1e-12 it took 42 evaluations; it takes 14, and the point it
+    stops at is certified."""
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(3)], field="real")
+    spec = NormSpec.kyfan(3, 2)
+    calls = count_value_and_grad(monkeypatch)
+    res = best_approx(a, sub, spec, starts=6, iters=150)
+    assert res.trace["iterations"] == 0 and res.trace["bound"] == "hoelder"
+    assert len(calls) <= 21
+    obj = Objective(a, sub, spec)
+    x = x_of_coeffs(res.coefficients, sub)
+    f, g = obj.value_and_grad(x)
+    assert closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= obj.face_tol(f)
+    assert certify_best(a, sub, spec, res).found
+
+
+# approx benchmark workload, seed 5, case 12: a 2 x 2 complex matrix against a
+# complex dim-1 subspace in the Schatten-3 norm (perfbench/workloads.py,
+# make_plan("approx", 5).cases[12], library seed 5095043)
+SEED5_CASE12_A = np.array([
+    [0.1923790265486738 + 0.09889744535281286j, -0.7012195542230358 - 0.25242638232092607j],
+    [-0.1521086513787111 - 0.8067984678598894j, 0.1666136994198889 - 0.1375473485391715j]])
+SEED5_CASE12_X = np.array([
+    [0.055285006460712424 + 0.04965157540289682j, 0.14542975351710014 + 1.750641029886244j],
+    [0.9054525402235706 + 0.42885484706716465j, -0.07555811664062251 + 1.9242766348495666j]])
+
+
+def test_bracket_stop_waits_for_a_certifiable_gradient(monkeypatch):
+    """On this instance the Hoelder bound closes while ||P_S G|| = 1.2e-7 is
+    still above certify_best's cert_tol = 1e-7.  With the ||g|| <= face_tol
+    clause BFGS runs on and the point is certified; without it, it is not."""
+    sub = MatrixSubspace([SEED5_CASE12_X], field="complex")
+    spec = NormSpec.schatten(3)
+
+    def solve():
+        res = best_approx(SEED5_CASE12_A, sub, spec, starts=6, iters=150, seed=5095043)
+        assert res.converged and res.trace["iterations"] == 0
+        return certify_best(SEED5_CASE12_A, sub, spec, res)
+
+    assert solve().found
+    monkeypatch.setattr(Objective, "face_tol", lambda self, f: np.inf)
+    cert = solve()
+    assert not cert.found and cert.residual_perp > 1e-7
+
+
+def test_optimal_start_is_kept(monkeypatch):
+    """Schatten-2 is Frobenius, so the least-squares start is optimal and
+    BFGS cannot improve on it.  polish values its start with BFGS's kernel;
+    a values-only SVD differs in the last bit, and rejecting the start on
+    that sent 22 of these 60 solves into Polyak descent and Nelder-Mead."""
+    rng = np.random.default_rng(12345)
+    methods, grids = count_local_work(monkeypatch)
+    for n in (6, 4, 3):
+        for _ in range(20):
+            a = rand_complex(rng, n, n)
+            sub = MatrixSubspace([rng.standard_normal((n, n))], field="real")
+            methods.clear()
+            res = best_approx(a, sub, NormSpec.schatten(2), starts=6, seed=0)
+            assert methods == ["BFGS"] and res.trace["iterations"] == 0, n
+            assert res.converged and res.trace["bound"] == "hoelder"
+    assert grids == []
+
+
+def test_evaluations_count_the_residuals(rng, monkeypatch):
+    """trace["evaluations"]: on a smooth solve the 6 start values (one stacked
+    SVD) and one per value_and_grad call, nothing else."""
+    a = rand_complex(rng, 3, 3)
+    sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(2)], field="complex")
+    calls = count_value_and_grad(monkeypatch)
+    res = best_approx(a, sub, NormSpec.schatten(4), starts=6, seed=0)
+    assert res.trace["bound"] == "hoelder"
+    assert res.trace["evaluations"] == 6 + len(calls)
+
