@@ -23,7 +23,7 @@ import numpy as np
 from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, norm
-from .solvers import (GAP_TOL, Objective, coeffs_of_x, multistart_minimize, real_dim,
+from .solvers import (CERT_TOL, GAP_TOL, Objective, coeffs_of_x, multistart_minimize, real_dim,
                       real_rows, x_of_coeffs)
 from .subdiff import descriptor, face_min_norm
 
@@ -102,7 +102,7 @@ class CertificateResult:
     residual_lower: float     # no subgradient at R reaches below it
 
 
-def certify_best(a, subspace, spec, result, cert_tol=1e-7, max_atoms=40, seed=0):
+def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, max_atoms=40, seed=0):
     """Search the subdifferential at R = A - Y for an element with zero
     projection onto the subspace.
 

@@ -22,6 +22,7 @@ from .lab import convergence_checks, counterexample_run, default_p_grid, emit_cs
 from .norms import NormSpec, dual_norm, norm
 from .ortho import (check_bj, check_eps_bj, check_parallel, subspace_certificate,
                     verify_certificate)
+from .solvers import CERT_TOL
 from .subdiff import descriptor, dir_derivative, sample_extreme
 
 
@@ -522,7 +523,7 @@ def build_parser():
     sp.add_argument("--subspace", required=True)
     sp.add_argument("--certify", action="store_true",
                     help="attach a subdifferential optimality certificate")
-    sp.add_argument("--cert-tol", type=float, default=1e-7,
+    sp.add_argument("--cert-tol", type=float, default=CERT_TOL,
                     help="certificate projection tolerance (default 1e-7)")
     solver_flags(sp)
     common(sp)

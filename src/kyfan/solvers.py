@@ -8,18 +8,16 @@ of the residual R = U diag(sigma) V*: it gives the value and the closed-form
 extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*, which has dual norm 1
 and pairing ||R|| for every p >= 1 (Watson 1992).
 
-A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.
-The start of least value is polished first: BFGS with the exact gradient
-stops at the first certifiable bracket (Hoelder, with ||P_S G|| small enough
-for certify_best), else its end point gets the lower bound (Hoelder, or the
-face bound at a kink).  At a sigma_1 kink, where BFGS cannot reach the tie,
-Newton steps for the multiple eigenvalue (Overton 1988) land on it and the
-face bound closes there.  Only while the bracket stays open (kinks the Newton
-step misses, and kinks of p < 2, which have no face bound) do the budgets
-act: multi-start Polyak-step subgradient descent with all starts in lockstep
-and one stacked SVD per step, the polish of the best finals, Nelder-Mead and,
-for subspaces of dimension <= GRID_DIM_LIMIT, a coarse-to-fine grid pass
-evaluated with batched SVDs.
+A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.  The
+start of least value is polished first: BFGS with the exact gradient stops at
+the first bracket certify_best can certify (Hoelder), else its end point gets
+the lower bound (Hoelder, or the face bound at a kink).  At a sigma_1 kink,
+where BFGS cannot reach the tie, Newton steps for the multiple eigenvalue
+(Overton 1988) land on it and the face bound closes there.  Only while the
+bracket stays open (kinks the Newton step misses, and kinks of p < 2, which
+have no face bound) do the budgets act: lockstep multi-start Polyak-step
+subgradient descent with one stacked SVD per step, the polish of the best
+finals, Nelder-Mead and, for dimension <= GRID_DIM_LIMIT, a batched grid pass.
 """
 
 from __future__ import annotations
@@ -32,8 +30,9 @@ from scipy.optimize import minimize
 from .norms import _sigma_norm, dual_norm
 from .subdiff import descriptor, face_min_norm
 
-# a solve stops once f - lower <= GAP_TOL * (1 + f)
-GAP_TOL = 1e-7
+# a solve stops once f - lower <= GAP_TOL * (1 + f); CERT_TOL is certify_best's
+# default bound on ||P_S G||, and polish's BFGS stops only with ||g|| within it
+GAP_TOL = CERT_TOL = 1e-7
 # singular values within KINK_TOL * sigma_1 count as tied: the face bound takes
 # them as one face, the kink Newton step as one multiple eigenvalue
 KINK_TOL = 1e-4
@@ -111,7 +110,6 @@ class Objective:
         self._rows_h = self.rows.conj().T
         self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
         self.evaluations = 0  # residuals formed: values, subgradients, face bounds, Newton steps
-        self.last = None  # (x, f, g) of the last value_and_grad call
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
@@ -138,15 +136,14 @@ class Objective:
         zero singular values among the top k; at a zero residual this gives
         U_k V_k*, also a subgradient there, and 0 for p > 1.  A stack of
         points gives a stack of values and gradients; one point gives a float
-        and a vector.  The call is kept in self.last.
+        and a vector.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
         f = _sigma_norm(s, self.p, self.k)
         k = self.k_eff
         ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
         g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
-        self.last = (np.array(x, dtype=float),) + ((float(f), g) if np.ndim(x) == 1 else (f, g))
-        return self.last[1:]
+        return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
     def lower_bound(self, x, f, g):
         """Lower bound on min f at x from f and the pulled-back subgradient g there.
@@ -186,7 +183,7 @@ class Objective:
         return max(0.0, float((f + g @ (self.a_x - x)) / (1.0 + np.sqrt(n0) * np.linalg.norm(g))))
 
     def face_tol(self, f):
-        """The ||P_S G|| up to which the face bound counts and polish's BFGS stops."""
+        """The ||P_S G|| up to which the face bound counts (polish: and CERT_TOL)."""
         return GAP_TOL * (1.0 + f) / (4.0 * np.sqrt(min(self.a.shape)) * f) if f > 0 else np.inf
 
     def newton_step(self, x, mult=None, t=None):
@@ -272,26 +269,31 @@ def polish(obj, x0):
     """Local refinement of the Objective obj from x0: BFGS on obj.value_and_grad,
     then Nelder-Mead on obj.value.
 
-    BFGS stops at the first iterate whose Hoelder bound closes the bracket
-    with ||g|| <= obj.face_tol(f), both read off obj.last: no extra SVD; else
-    the bracket is checked at its final point and, for sigma_1 norms
-    (k_eff = 1), after each accepted kink Newton step.  Returns (x, f,
-    bracket) with bracket = (lower, kind) from obj.lower_bound when it
-    closed, else None after Nelder-Mead.
+    BFGS stops at the first iterate whose Hoelder bound closes the bracket with
+    ||g|| <= min(obj.face_tol(f), CERT_TOL), so certify_best certifies it; else
+    the bracket is checked at its final point and, for k_eff = 1, after each
+    accepted kink Newton step.  Returns (x, f, bracket): bracket is
+    obj.lower_bound's (lower, kind) once closed, else None after Nelder-Mead.
     """
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = obj.value_and_grad(best_x)[0]  # BFGS's kernel, so an optimal start is kept
     if best_x.size == 0:
         return best_x, best_f, None
+    last = None  # (x, f, g) of BFGS's last call: the stop needs no extra SVD
+
+    def fg(x):
+        nonlocal last
+        last = (x.copy(),) + obj.value_and_grad(x)
+        return last[1:]
 
     def stop(intermediate_result):
-        x, f, g = obj.last
+        x, f, g = last
         if (np.array_equal(x, intermediate_result.x) and closes(f, obj.hoelder(x, f, g))
-                and np.linalg.norm(g) <= obj.face_tol(f)):
+                and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL)):
             raise StopIteration
 
     try:
-        res = minimize(obj.value_and_grad, best_x, jac=True, method="BFGS", callback=stop,
+        res = minimize(fg, best_x, jac=True, method="BFGS", callback=stop,
                        options={"gtol": 1e-12, "maxiter": 300})
     except Exception:
         res = None

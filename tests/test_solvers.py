@@ -10,7 +10,7 @@ from kyfan import solvers
 from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, dual_norm, norm
-from kyfan.solvers import GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
+from kyfan.solvers import CERT_TOL, GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
@@ -372,7 +372,7 @@ def count_value_and_grad(monkeypatch):
 
 def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
     """The smooth dim-3 solve of test_best_approx_descent_svd_count: BFGS stops at its first iterate whose
-    Hoelder bound closes the bracket with ||g|| <= face_tol(f).  Run on to
+    Hoelder bound closes the bracket with ||g|| <= face_tol(f), CERT_TOL.  Run on to
     gtol = 1e-12 it took 42 evaluations; it takes 14, and the point it
     stops at is certified."""
     a = rand_complex(rng, 3, 3)
@@ -385,7 +385,7 @@ def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
     obj = Objective(a, sub, spec)
     x = x_of_coeffs(res.coefficients, sub)
     f, g = obj.value_and_grad(x)
-    assert closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= obj.face_tol(f)
+    assert closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL)
     assert certify_best(a, sub, spec, res).found
 
 
@@ -400,22 +400,33 @@ SEED5_CASE12_X = np.array([
     [0.9054525402235706 + 0.42885484706716465j, -0.07555811664062251 + 1.9242766348495666j]])
 
 
-def test_bracket_stop_waits_for_a_certifiable_gradient(monkeypatch):
-    """On this instance the Hoelder bound closes while ||P_S G|| = 1.2e-7 is
-    still above certify_best's cert_tol = 1e-7.  With the ||g|| <= face_tol
-    clause BFGS runs on and the point is certified; without it, it is not."""
+def solve_seed5_case12(scale=1.0):
     sub = MatrixSubspace([SEED5_CASE12_X], field="complex")
     spec = NormSpec.schatten(3)
+    a = scale * SEED5_CASE12_A
+    res = best_approx(a, sub, spec, starts=6, iters=150, seed=5095043)
+    assert res.converged and res.trace["iterations"] == 0
+    return certify_best(a, sub, spec, res)
 
-    def solve():
-        res = best_approx(SEED5_CASE12_A, sub, spec, starts=6, iters=150, seed=5095043)
-        assert res.converged and res.trace["iterations"] == 0
-        return certify_best(SEED5_CASE12_A, sub, spec, res)
 
-    assert solve().found
+def test_bracket_stop_waits_for_a_certifiable_gradient(monkeypatch):
+    """On this instance the Hoelder bound closes while ||P_S G|| = 1.2e-7 is
+    still above certify_best's cert_tol = 1e-7.  With the ||g|| clause BFGS
+    runs on and the point is certified; without it, it is not."""
+    assert solve_seed5_case12().found
     monkeypatch.setattr(Objective, "face_tol", lambda self, f: np.inf)
-    cert = solve()
+    monkeypatch.setattr(solvers, "CERT_TOL", np.inf)
+    cert = solve_seed5_case12()
     assert not cert.found and cert.residual_perp > 1e-7
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e3])
+def test_bracket_stop_is_certifiable_at_any_scale(scale):
+    """g does not change with the scale of A, but face_tol(f) grows like 1/f:
+    at scale 1e-3 it is 1.7e-5, and a stop on it alone left ||P_S G|| =
+    1.4e-5.  The stop also waits for ||g|| <= CERT_TOL, certify_best's
+    default, so every scale is certified."""
+    assert solve_seed5_case12(scale).found
 
 
 def test_optimal_start_is_kept(monkeypatch):
