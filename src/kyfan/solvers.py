@@ -11,9 +11,12 @@ and pairing ||R|| for every p >= 1 (Watson 1992).
 A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.  The
 start of least value is polished first: BFGS with the exact gradient stops at
 the first bracket certify_best can certify (Hoelder), else its end point gets
-the lower bound (Hoelder, or the face bound at a kink).  At a sigma_1 kink,
-where BFGS cannot reach the tie, Newton steps for the multiple eigenvalue
-(Overton 1988) land on it and the face bound closes there.  Only while the
+the lower bound (Hoelder, or the face bound at a kink).  A sigma_1 optimum is
+generically a kink, which BFGS creeps toward and never settles on (Lewis &
+Overton 2013); so for the sigma_1 norms BFGS hands its first iterate with
+sigma_2 tied to sigma_1 within KINK_TOL to Newton steps for the multiple
+eigenvalue (Overton 1988), which land on the kink, and the face bound closes
+there.  If they miss, BFGS resumes once from their best point.  Only while the
 bracket stays open (kinks the Newton step misses, and kinks of p < 2, which
 have no face bound) do the budgets act: lockstep multi-start Polyak-step
 subgradient descent with one stacked SVD per step, the polish of the best
@@ -33,8 +36,9 @@ from .subdiff import descriptor, face_min_norm
 # a solve stops once f - lower <= GAP_TOL * (1 + f); CERT_TOL is certify_best's
 # default bound on ||P_S G||, and polish's BFGS stops only with ||g|| within it
 GAP_TOL = CERT_TOL = 1e-7
-# singular values within KINK_TOL * sigma_1 count as tied: the face bound takes
-# them as one face, the kink Newton step as one multiple eigenvalue
+# singular values within KINK_TOL * sigma_1 count as tied: polish hands such a
+# point to the kink Newton step, which takes them as one multiple eigenvalue
+# (the face bound groups as certify_best does, at core.BLOCK_TOL)
 KINK_TOL = 1e-4
 # the grid pass runs on subspaces of dimension <= GRID_DIM_LIMIT, with (points
 # per axis, levels) GRID_FINE on at most 2 real coordinates, else GRID_COARSE
@@ -110,6 +114,7 @@ class Objective:
         self._rows_h = self.rows.conj().T
         self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
         self.evaluations = 0  # residuals formed: values, subgradients, face bounds, Newton steps
+        self.sigma = None  # singular values of value_and_grad's last call, for polish's tie test
 
     def residual(self, x):
         """A - sum_j c_j E_j; x may carry leading stack axes."""
@@ -139,6 +144,7 @@ class Objective:
         and a vector.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
+        self.sigma = s
         f = _sigma_norm(s, self.p, self.k)
         k = self.k_eff
         ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
@@ -153,20 +159,22 @@ class Objective:
         "hoelder" bound takes F = G - P_S G for the fused extreme subgradient G:
         Re<F, A> = f + g.(a_x - x) and ||F||_dual <= 1 + sqrt(n0) ||g||, no SVD.
         Where that leaves the bracket open, the "face" bound takes G in the face
-        at the residual, singular values grouped within KINK_TOL, with the least
-        ||P_S G|| (face_min_norm), and the exact dual norm of F.  At a kink
-        optimum the extreme G misses the orthogonal complement and this G meets
-        it; the grouping only decides how tight the bound is.  The face bound
-        counts only when ||P_S G|| <= face_tol(f), which moves it by at most
-        GAP_TOL (1 + f) / 2.  It is tight to second order in ||P_S G||, so it
-        would close earlier, but then at points that certify_best cannot
-        certify.  The face is described for p >= 2 only, so below that the
-        bound is Hoelder's.
+        at the residual, with the least ||P_S G|| (face_min_norm), and the exact
+        dual norm of F.  At a kink optimum the extreme G misses the orthogonal
+        complement and this G meets it.  The face groups singular values as
+        certify_best does (descriptor's default, core.BLOCK_TOL): grouped more
+        widely, values split by more than that count as tied, and the bound
+        closes at points near a kink that certify_best cannot certify.  The
+        face bound counts only when ||P_S G|| <= face_tol(f), which moves it by
+        at most GAP_TOL (1 + f) / 2.  It is tight to second order in
+        ||P_S G||, so it would close earlier, but then at points that
+        certify_best cannot certify.  The face is described for p >= 2 only,
+        so below that the bound is Hoelder's.
         """
         low = self.hoelder(x, f, g)
         if closes(f, low) or self.p_eff < 2:
             return low, "hoelder"
-        desc = descriptor(self.residual(x), self.p_eff, self.k_eff, tol=KINK_TOL)
+        desc = descriptor(self.residual(x), self.p_eff, self.k_eff)
         tol = self.face_tol(f)
         face = face_min_norm(desc, self.subspace.onb, self.subspace.field, tol=tol, max_iter=40)
         gx = (self.rows.conj() @ face.g.ravel()).real  # coordinates of P_S G
@@ -272,40 +280,55 @@ def polish(obj, x0):
     BFGS stops at the first iterate whose Hoelder bound closes the bracket with
     ||g|| <= min(obj.face_tol(f), CERT_TOL), so certify_best certifies it; else
     the bracket is checked at its final point and, for k_eff = 1, after each
-    accepted kink Newton step.  Returns (x, f, bracket): bracket is
-    obj.lower_bound's (lower, kind) once closed, else None after Nelder-Mead.
+    accepted kink Newton step.  For k_eff = 1 BFGS also stops at its first
+    iterate with sigma_2 >= sigma_1 (1 - KINK_TOL) and hands it to kink_newton;
+    the singular values come from the SVD of that iterate's evaluation.  If
+    kink_newton does not close the bracket, BFGS resumes once from its best
+    point without the hand-off and the path above runs to its end.  Returns
+    (x, f, bracket): bracket is obj.lower_bound's (lower, kind) once closed,
+    else None after Nelder-Mead.
     """
     best_x = np.asarray(x0, dtype=float).copy()
     best_f = obj.value_and_grad(best_x)[0]  # BFGS's kernel, so an optimal start is kept
     if best_x.size == 0:
         return best_x, best_f, None
-    last = None  # (x, f, g) of BFGS's last call: the stop needs no extra SVD
+    last = None  # (x, f, g, sigma) of BFGS's last call: the stops need no extra SVD
 
     def fg(x):
         nonlocal last
-        last = (x.copy(),) + obj.value_and_grad(x)
-        return last[1:]
+        f, g = obj.value_and_grad(x)
+        last = (x.copy(), f, g, obj.sigma)
+        return f, g
 
     def stop(intermediate_result):
-        x, f, g = last
-        if (np.array_equal(x, intermediate_result.x) and closes(f, obj.hoelder(x, f, g))
-                and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL)):
+        nonlocal tied
+        x, f, g, s = last
+        if not np.array_equal(x, intermediate_result.x):
+            return
+        if closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL):
+            raise StopIteration
+        if handoff and s.size > 1 and s[1] >= s[0] * (1.0 - KINK_TOL):
+            tied = True
             raise StopIteration
 
-    try:
-        res = minimize(fg, best_x, jac=True, method="BFGS", callback=stop,
-                       options={"gtol": 1e-12, "maxiter": 300})
-    except Exception:
-        res = None
-    if res is not None and res.fun <= best_f:
-        best_x, best_f = np.asarray(res.x), float(res.fun)
-        bracket = obj.lower_bound(best_x, best_f, res.jac)
-        if closes(best_f, bracket[0]):
-            return best_x, best_f, bracket
-        if obj.k_eff == 1:
-            best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
-            if bracket is not None:
+    for handoff in (obj.k_eff == 1, False):
+        tied = False
+        try:
+            res = minimize(fg, best_x, jac=True, method="BFGS", callback=stop,
+                           options={"gtol": 1e-12, "maxiter": 300})
+        except Exception:
+            res = None
+        if res is not None and res.fun <= best_f:
+            best_x, best_f = np.asarray(res.x), float(res.fun)
+            bracket = obj.lower_bound(best_x, best_f, res.jac)
+            if closes(best_f, bracket[0]):
                 return best_x, best_f, bracket
+            if obj.k_eff == 1:
+                best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
+                if bracket is not None:
+                    return best_x, best_f, bracket
+        if not tied:
+            break
     res = minimize(obj.value, best_x, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15,
                             "maxiter": 400 * best_x.size, "maxfev": 400 * best_x.size})
@@ -321,9 +344,10 @@ def kink_newton(obj, x, f):
     manifold raises f by its second-order error, and the next one recovers.
     So every step is taken, and a point is accepted when f does not rise
     above round-off of the best accepted value; the bracket is checked there.
-    A rise beyond 1e-6 of f means the step fixed too few tied values (BFGS
-    can stop farther from the tie than KINK_TOL): the next singular value
-    joins the multiplicity t and the steps restart from the best point.
+    A rise beyond 1e-6 of f means the step fixed too few tied values (polish
+    hands over a point tied within KINK_TOL, but a resumed BFGS, or one whose
+    first line search fails, can end farther from the tie): the next singular
+    value joins the multiplicity t and the steps restart from the best point.
     Returns (x, f, bracket) at the first accepted point whose bracket closes,
     else (best point, its value, None).
     """

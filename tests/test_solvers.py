@@ -10,7 +10,8 @@ from kyfan import solvers
 from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, dual_norm, norm
-from kyfan.solvers import CERT_TOL, GAP_TOL, Objective, closes, polish, polyak_descent, x_of_coeffs
+from kyfan.solvers import (CERT_TOL, GAP_TOL, Objective, closes, coeffs_of_x, polish,
+                           polyak_descent, x_of_coeffs)
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
@@ -335,6 +336,29 @@ def test_kink_optimum_closes_the_bracket(rng, monkeypatch):
     assert abs(res.value - (d.max() - d.min()) / 2.0) <= 1e-9
 
 
+def test_face_bound_closes_only_where_certify_best_certifies():
+    """Near the kink optimum c of hermitian_vs_identity: at c + delta sigma_1
+    and sigma_2 split by 2 delta, at c + i delta they stay tied.  Wherever
+    lower_bound closes the bracket there, certify_best certifies Y.  With the
+    face grouped at KINK_TOL, the bound closed at 100 of these 120 points and
+    60 of them, every real offset, were not certifiable."""
+    spec = NormSpec.spectral()
+    closed = 0
+    for seed in range(20):
+        a, sub, d = hermitian_vs_identity(np.random.default_rng(seed))
+        obj = Objective(a, sub, spec)
+        c = (d.max() + d.min()) / 2.0
+        for delta in (1e-8, 3e-8, 1e-7):
+            for offset in (delta, 1j * delta):
+                x = x_of_coeffs(np.array([(c + offset) * np.sqrt(3.0)]), sub)
+                f, g = obj.value_and_grad(x)
+                if closes(f, obj.lower_bound(x, f, g)[0]):
+                    closed += 1
+                    y = sub.combine(coeffs_of_x(x, sub))
+                    assert certify_best(a, sub, spec, y).found, (seed, offset)
+    assert closed >= 40
+
+
 def test_kink_newton_reaches_the_tied_optimum(rng):
     """From a point where sigma_1 and sigma_2 agree to 1e-6, the Newton steps
     land on the kink and close the bracket on the face bound."""
@@ -348,9 +372,11 @@ def test_kink_newton_reaches_the_tied_optimum(rng):
 
 
 def test_kink_newton_adds_a_tied_value_when_a_step_rises(monkeypatch):
-    """A = diag(3, 1, 0) against span{I}: BFGS stops with sigma_1 - sigma_2
-    above KINK_TOL, so the first Newton steps fix one value and raise f; with
-    the next value added they land on (1.5, 1.5, 0.5) in the first polish."""
+    """A = diag(3, 1, 0) against span{I}: BFGS's first line search fails, so
+    it ends at its start, where sigma_2 is 9% below sigma_1, and no iterate
+    reaches the tie for the hand-off.  The first Newton steps fix one value
+    and raise f; with the next value added they land on (1.5, 1.5, 0.5) in
+    the first polish."""
     a = np.diag([3.0, 1.0, 0.0]).astype(complex)
     methods, grids = count_local_work(monkeypatch)
     res = best_approx(a, MatrixSubspace([np.eye(3)], field="complex"), NormSpec.spectral(),
@@ -427,6 +453,78 @@ def test_bracket_stop_is_certifiable_at_any_scale(scale):
     1.4e-5.  The stop also waits for ||g|| <= CERT_TOL, certify_best's
     default, so every scale is certified."""
     assert solve_seed5_case12(scale).found
+
+
+# approx benchmark workload, seed 1, case 17: a 4 x 4 complex matrix against a
+# complex dim-4 subspace in the spectral norm, whose optimum ties sigma_1 and
+# sigma_2 (perfbench/workloads.py, make_plan("approx", 1).cases[17], library
+# seed 1134626)
+SEED1_CASE17_A = np.array([
+    [0.3895609368273409 - 0.4255616369610369j, 0.44063619993841463 + 0.7856747117400986j,
+     -0.07600234207494828 - 0.9866606100364075j, 0.603260975518862 + 0.14564806251814233j],
+    [-0.5599581806406196 + 0.5486550409987431j, -0.8147040937706794 + 0.3986527359793355j,
+     -0.3051967631011988 + 0.6013859378805051j, -1.504567271754327 - 0.6216745516167093j],
+    [-0.3204213289620462 + 0.2615290271539135j, 1.2706571768006507 - 0.38047048891442803j,
+     1.3131058570699095 - 0.0887499912523068j, -1.2422352901450644 - 0.45340081455480774j],
+    [0.5738570738845524 - 1.5131566781127033j, 0.5478517491509529 + 0.6447197075032086j,
+     0.6346295429948835 - 0.27511839163695406j, -0.29655488958191184 - 0.010254994187988026j],
+])
+SEED1_CASE17_X = np.array([
+    [
+        [-0.277517179779341 - 0.7436906559586677j, -1.226785998831758 + 1.0288401952394186j,
+         0.1970535514654824 - 0.4490422758111304j, -0.8854771794268511 - 0.011515944490901596j],
+        [0.4853567354022325 + 0.2965659214741641j, 0.7126797493013671 - 0.4431879717162252j,
+         -0.9525964047693646 + 0.028984378325207494j, 0.3348435114716579 - 0.5913206130490092j],
+        [-0.5818688267102724 + 1.0400023493620878j, 1.0897565693017937 - 0.6640488262956052j,
+         -1.728012280854239 + 1.5253746182125714j, -0.20482872358323032 + 0.5802237659319823j],
+        [0.8224122275037179 - 0.4910012589023864j, -0.16484762621064714 + 1.003651997082913j,
+         0.21631745446101136 + 1.039580518489905j, -0.7583081898089906 + 0.358419180074723j],
+    ],
+    [
+        [-1.1354769935883953 - 0.07679959502901101j, -0.5566652089127733 - 0.1326715359629553j,
+         0.13929980891329158 + 1.2360365795668258j, 0.0644972553624092 + 0.45368586374693715j],
+        [-0.36124597897162314 + 0.4916433127822345j, -1.1042550619025173 + 0.5062747067566153j,
+         -0.6043552876427873 + 0.04952003023159289j, 0.4158966310177549 + 1.3270374169619439j],
+        [-0.2967915730997399 + 0.9781195629133155j, -0.4285422028291521 + 0.00040524069915743563j,
+         -0.8581456396251924 - 1.5275700748493068j, -0.1397744461091479 - 0.3218839887709831j],
+        [-0.2855246947310535 + 0.6624012659470836j, -0.05531305597247266 - 1.4039643051270063j,
+         -0.6260233271347179 - 0.327934773168565j, -0.32919127853262264 + 0.006184928955838972j],
+    ],
+    [
+        [-0.05150839796721231 - 0.07338930136704327j, -2.1982427985726267 + 1.587005115114601j,
+         1.626303307987394 - 0.7133250682544142j, -0.23738073915253402 + 0.4162803467671437j],
+        [1.0478401632138448 + 1.1372403160255198j, -0.5941968876552812 + 0.8952366390117846j,
+         -0.6023811618408529 - 0.027252844825044167j, 0.6236699326466634 - 0.9040242050849124j],
+        [0.1681735015169849 + 0.8018248081411316j, 0.7407728339305752 + 0.9227288789826624j,
+         0.2837821225711739 + 0.07591199010601064j, -0.7894128346233503 - 0.8519180252131895j],
+        [0.3532613222217717 + 0.17648864708313122j, 0.15442717595351488 + 0.25294930793869247j,
+         -0.9784678363501869 + 0.22079401032384383j, 0.27445835891645515 - 0.22221061412805082j],
+    ],
+    [
+        [0.26378620582134676 + 0.954308453785834j, 0.1353832179885254 - 0.6512559391818588j,
+         -1.2655574161451186 - 0.4612818629562123j, -0.04542727608399101 + 0.006394701346499509j],
+        [-0.4064627420671934 - 0.2702367719082906j, -0.2709673819029939 - 0.6318551583801649j,
+         -0.09067904567599207 + 1.3576404306417276j, 1.2382962771980361 - 1.057449089278938j],
+        [-0.5392274233819189 + 0.1552695138207907j, 0.18435567598997876 - 0.49202790660645035j,
+         0.18706220442975785 + 0.7146740505529541j, 0.47009609825441034 - 0.5201512241729019j],
+        [0.09034240437672729 + 0.05377881409481603j, 0.5669455086446648 + 1.0801281839063688j,
+         -0.6455742217325994 - 0.6676120660209918j, -1.3506633705450575 - 0.7215985512886137j],
+    ],
+])
+
+
+def test_sigma1_kink_is_handed_to_the_newton_step(monkeypatch):
+    """BFGS stops at its first iterate with sigma_2 >= sigma_1 (1 - KINK_TOL)
+    and kink_newton closes the bracket on the face bound: 45 evaluations.
+    Run on at the tie, BFGS took 208."""
+    sub = MatrixSubspace(list(SEED1_CASE17_X), field="complex")
+    spec = NormSpec.spectral()
+    methods, grids = count_local_work(monkeypatch)
+    res = best_approx(SEED1_CASE17_A, sub, spec, starts=6, iters=150, seed=1134626)
+    assert "Nelder-Mead" not in methods and grids == [] and res.trace["iterations"] == 0
+    assert res.converged and res.trace["bound"] == "face"
+    assert res.trace["evaluations"] <= 80
+    assert certify_best(SEED1_CASE17_A, sub, spec, res).found
 
 
 def test_optimal_start_is_kept(monkeypatch):
