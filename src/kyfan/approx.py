@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
-from .errors import InvalidInputError, UnsupportedError
+from .errors import InvalidInputError
 from .norms import NormSpec, norm
 from .solvers import (CERT_TOL, GAP_TOL, Objective, coeffs_of_x, multistart_minimize, real_dim,
                       real_rows, x_of_coeffs)
-from .subdiff import descriptor, face_min_norm
+from .subdiff import descriptor, face_min_norm, subdiff_pk
 
 
 @dataclass
@@ -81,15 +81,6 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
                                converged=out.converged, trace=trace, flags=flags)
 
 
-def _cert_face(spec, n0):
-    p, k = spec.resolve(n0)
-    if p is None:
-        return 2.0, 1  # the norm degenerates to sigma_1, certified via (2, 1)
-    if p < 2:
-        raise UnsupportedError("optimality certificates need p >= 2 (or the spectral norm)")
-    return p, k
-
-
 @dataclass
 class CertificateResult:
     found: bool
@@ -119,7 +110,7 @@ def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, max_atoms=40, see
     y = as_matrix(attach.y if attach is not None else result)
     r = a - y
     n0 = min(a.shape)
-    p, k = _cert_face(spec, n0)
+    p, k = subdiff_pk(spec, n0)
     if not subspace.dim:
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True, 0.0)
     if negligible(r, a):
@@ -176,7 +167,7 @@ def pin_map(res, subspace, cert):
         ug, tau, vgh = np.linalg.svd(cert.f_matrix)
         rank = int(np.sum(tau > RANK_TOL * tau[0]))
         u, v = ug[:, :rank], vgh[:rank].conj().T
-        p, k = _cert_face(res.spec, min(m, n))
+        p, k = subdiff_pk(res.spec, min(m, n))
         values = np.full(rank, res.value) if k == 1 else np.maximum(
             res.value * tau[:rank] ** (1.0 / (p - 1.0)), res.sigma[k - 1])
     rows = real_rows(subspace).reshape((-1,) + r.shape)
@@ -222,7 +213,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
         raise InvalidInputError("X must be nonzero")
     spec = NormSpec.kyfan(p, k)
     n0 = min(a.shape)
-    _cert_face(spec, n0)  # p < 2 raises before the solve
+    subdiff_pk(spec, n0)  # p < 2 raises before the solve
     predicted = rank_x > a.shape[1] - spec.resolve(n0)[1]
 
     sub = MatrixSubspace([x], field="complex")

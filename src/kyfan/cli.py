@@ -23,7 +23,7 @@ from .norms import NormSpec, dual_norm, norm
 from .ortho import (check_bj, check_eps_bj, check_parallel, subspace_certificate,
                     verify_certificate)
 from .solvers import CERT_TOL
-from .subdiff import descriptor, dir_derivative, sample_extreme
+from .subdiff import descriptor, dir_derivative, sample_extreme, subdiff_pk
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +160,6 @@ def parse_norm_spec(text):
                      "spectral | schatten:p=.. | trace)" % text)
 
 
-def _subdiff_pk(spec, n0):
-    """(p, k) for the subdifferential-based commands; needs p >= 2."""
-    p, k = spec.resolve(n0)
-    if p is None:
-        if spec.family == "spectral":
-            return 2.0, 1  # spectral norm = (2,1) norm
-        raise InvalidInputError("p is too large for subdifferential operations")
-    if p < 2:
-        raise InvalidInputError("subdifferential operations need p >= 2")
-    return p, k
-
-
 # ---------------------------------------------------------------------------
 # output encoding
 
@@ -229,7 +217,7 @@ def _cmd_dual(args):
 def _cmd_subdiff(args):
     a = parse_matrix_file(args.matrix)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     desc = descriptor(a, p, k)
     payload = {
         "norm_value": desc.norm_value,
@@ -262,7 +250,7 @@ def _cmd_dirderiv(args):
     a = parse_matrix_file(args.matrix)
     x = parse_matrix_file(args.direction)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     _emit({"value": dir_derivative(a, x, p, k)}, args)
     return 0
 
@@ -271,7 +259,7 @@ def _cmd_ortho_bj(args):
     a = parse_matrix_file(args.matrix)
     b = parse_matrix_file(args.other)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     res = check_bj(a, b, p, k, tol=args.tol, seed=args.seed)
     payload = {
         "orthogonal": res.orthogonal,
@@ -289,7 +277,7 @@ def _cmd_ortho_eps(args):
     a = parse_matrix_file(args.matrix)
     b = parse_matrix_file(args.other)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     res = check_eps_bj(a, b, p, k, args.eps, mode=args.mode, tol=args.tol,
                        seed=args.seed)
     _emit({"orthogonal": res.satisfied, "eps": args.eps, "mode": args.mode,
@@ -301,7 +289,7 @@ def _cmd_ortho_parallel(args):
     a = parse_matrix_file(args.matrix)
     b = parse_matrix_file(args.other)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     res = check_parallel(a, b, p, k, tol=args.tol, seed=args.seed)
     _emit({"parallel": res.parallel,
            "lambda": None if res.lam is None else _pair(res.lam),
@@ -315,7 +303,7 @@ def _cmd_ortho_subspace(args):
     a = parse_matrix_file(args.matrix)
     sub = parse_subspace_file(args.subspace)
     spec = parse_norm_spec(args.norm)
-    p, k = _subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(spec, min(a.shape))
     cert = subspace_certificate(a, sub, p, k, tol=args.tol)
     ok, report = verify_certificate(a, sub, p, k, cert, seed=args.seed)
     _emit({"feasible": cert.feasible,
@@ -446,11 +434,12 @@ def build_parser():
                     "spectral approximation, and p-sweep experiments.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, norm_flag=True, tol_default=1e-8):
+    def common(sp, norm_flag=True, tol_default=None):
         sp.add_argument("--seed", type=int, default=42,
                         help="seed for all randomized pieces (default 42)")
-        sp.add_argument("--tol", type=float, default=tol_default,
-                        help="decision tolerance (default %g)" % tol_default)
+        if tol_default is not None:
+            sp.add_argument("--tol", type=float, default=tol_default,
+                            help="decision tolerance (default %g)" % tol_default)
         sp.add_argument("--json-indent", type=int, default=None,
                         help="pretty-print JSON with this indent")
         if norm_flag:
@@ -492,7 +481,7 @@ def build_parser():
     sp = osub.add_parser("bj", help="orthogonality to a matrix")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--other", required=True)
-    common(sp)
+    common(sp, tol_default=1e-8)
     sp.set_defaults(fn=_cmd_ortho_bj)
 
     sp = osub.add_parser("eps", help="approximate (epsilon) orthogonality")
@@ -500,13 +489,13 @@ def build_parser():
     sp.add_argument("--other", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--mode", choices=["complex", "real"], default="complex")
-    common(sp)
+    common(sp, tol_default=1e-8)
     sp.set_defaults(fn=_cmd_ortho_eps)
 
     sp = osub.add_parser("parallel", help="norm parallelism")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--other", required=True)
-    common(sp)
+    common(sp, tol_default=1e-8)
     sp.set_defaults(fn=_cmd_ortho_parallel)
 
     sp = osub.add_parser("subspace", help="orthogonality to a subspace with a "

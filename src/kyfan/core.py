@@ -1,12 +1,15 @@
 """Matrix primitives: the SVD wrapper, spectrum grouping, subspaces.
 
-Everything downstream (norms, subdifferentials, approximation) goes through
-these helpers so that clamping and multiplicity conventions live in one place.
+The clamping and multiplicity conventions live here: CLAMP_REL and BLOCK_TOL.
+Most callers take one np.linalg.svd of their own (norms.norm, the solver
+objective, subdiff.descriptor), so that a single factorization serves each
+point, and apply these constants to it; svd below is the phase-fixed wrapper.
 
 Conventions:
   * complex128 matrices throughout; reals are accepted and widened
   * singular values are returned non-increasing
-  * singular values below 1e-14 * sigma_1 are clamped to exactly 0
+  * singular values below CLAMP_REL * sigma_1 are clamped to exactly 0 where
+    zeros matter (svd, subdiff.descriptor)
 """
 
 from __future__ import annotations

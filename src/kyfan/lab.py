@@ -41,9 +41,11 @@ def p_sweep(a, subspace, p_grid=None, strict=None, starts=12, iters=150,
             seed=0, spec_of_p=NormSpec.schatten):
     """Best approximation under spec_of_p(p) for each p in an increasing grid.
 
-    Each p gets a cold multi-start solve plus a small warm solve seeded from
-    the previous p's coefficients and the strict approximant; records flag
-    when the two disagree in value (branch-tracking guard).
+    Each p gets one best_approx solve (starts and iters as given, seed + 31 i
+    at the i-th p), warm-started from the strict approximant and the previous
+    p's coefficients.  The solve proves its own optimality by a duality-gap
+    bracket, and its record carries that solve's flags ("unconverged" while
+    the bracket is open).
     """
     a = as_matrix(a)
     if p_grid is None:
@@ -58,22 +60,15 @@ def p_sweep(a, subspace, p_grid=None, strict=None, starts=12, iters=150,
     records = []
     prev = None
     for i, p in enumerate(p_grid):
-        spec = spec_of_p(p)
-        cold = best_approx(a, subspace, spec, starts=starts, iters=iters,
-                           seed=seed + 31 * i)
         extra = [strict.coefficients] + ([prev] if prev is not None else [])
-        warm = best_approx(a, subspace, spec, starts=4, iters=iters,
-                           seed=seed + 31 * i + 17, extra_coeffs=extra)
-        best = warm if warm.value <= cold.value else cold
-        flags = list(best.flags)
-        if abs(warm.value - cold.value) > 1e-6:
-            flags.append("warm_cold_disagree")
-        prev = best.coefficients
+        res = best_approx(a, subspace, spec_of_p(p), starts=starts, iters=iters,
+                          seed=seed + 31 * i, extra_coeffs=extra)
+        prev = res.coefficients
         records.append(SweepRecord(
-            p=p, coefficients=best.coefficients, sigma=best.sigma,
-            value_p=best.value, value_inf=float(best.sigma[0]),
-            dist_to_strict=float(np.linalg.norm(best.y - strict.y)),
-            flags=flags))
+            p=p, coefficients=res.coefficients, sigma=res.sigma,
+            value_p=res.value, value_inf=float(res.sigma[0]),
+            dist_to_strict=float(np.linalg.norm(res.y - strict.y)),
+            flags=list(res.flags)))
     return records
 
 

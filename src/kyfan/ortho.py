@@ -244,10 +244,11 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    if norm(a, NormSpec.kyfan(p, k)) == 0.0 or norm(b, NormSpec.kyfan(p, k)) == 0.0:
+    spec = NormSpec.kyfan(p, k)
+    na, nb = norm(a, spec), norm(b, spec)
+    if na == 0.0 or nb == 0.0:
         raise InvalidInputError("check_parallel needs nonzero a and b")
     rng_obj = inner_range(a, b, p, k)
-    nb = norm(b, NormSpec.kyfan(p, k))
     if rng_obj.desc.rank_deficient:
         return ParallelResult(None, None, rng_obj.max_abs, nb, True, None)
     is_par = rng_obj.max_abs >= nb - tol * max(1.0, nb)
@@ -260,8 +261,7 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
             t_att = _attaining_value(rng_obj, rng_obj.theta_max)
         if abs(t_att) > 0:
             lam = complex(np.conj(t_att / abs(t_att)))
-            spec = NormSpec.kyfan(p, k)
-            gap = abs(norm(a + lam * b, spec) - norm(a, spec) - nb)
+            gap = abs(norm(a + lam * b, spec) - na - nb)
     return ParallelResult(bool(is_par), lam, rng_obj.max_abs, nb, False, gap)
 
 

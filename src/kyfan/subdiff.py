@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BLOCK_TOL, SpectrumBlocks, as_matrix, spectrum_blocks
+from .core import BLOCK_TOL, SpectrumBlocks, _clamp_small, as_matrix, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
-from .norms import NormSpec, dual_norm, norm
+from .norms import NormSpec, _sigma_norm, dual_norm, norm
 
 
 @dataclass
@@ -71,28 +71,41 @@ def eigenspace_bases(sigma_blocks, right_full, n0):
     return bases
 
 
+def subdiff_pk(spec, n0):
+    """The (p, k) whose descriptor serves spec on matrices with n0 singular values.
+
+    A norm that resolves to its spectral limit (the spectral norm, or p beyond
+    norms.P_CAP) is sigma_1, the (2, 1) norm; p < 2 raises UnsupportedError.
+    """
+    p, k = spec.resolve(n0)
+    if p is None:
+        return 2.0, 1
+    if p < 2:
+        raise UnsupportedError("subdifferential operations need p >= 2 (or the spectral norm)")
+    return p, k
+
+
 def descriptor(a, p, k, tol=BLOCK_TOL):
     """Structural description of the subdifferential of ||.||_(p,k) at a.
 
     p < 2 raises UnsupportedError (the extreme-point family below needs p >= 2).
+    One SVD serves the norm value and the structure.
     """
     a = as_matrix(a)
     if not np.isfinite(p) or p < 2:
         raise UnsupportedError("subdifferential descriptors need 2 <= p < inf, got %r" % (p,))
     n0 = min(a.shape)
-    if not 1 <= k <= n0:
-        raise InvalidInputError("k must lie in [1, %d]" % n0)
+    p_norm, k_norm = NormSpec.kyfan(p, k).resolve(n0)  # k out of range raises here
 
-    nrm = norm(a, NormSpec.kyfan(p, k))
+    u, s_raw, vh = np.linalg.svd(a, full_matrices=True)
+    nrm = float(_sigma_norm(s_raw, p_norm, k_norm))
     if nrm == 0.0:
         return SubdiffDescriptor(
             p=p, k=k, norm_value=0.0, prefactor=None, blocks=None, full_blocks=[],
             boundary=None, fixed_projector=None, singleton=False,
             rank_deficient=True, at_zero=True, shape=a.shape)
 
-    u, s_raw, vh = np.linalg.svd(a, full_matrices=True)
-    sigma = s_raw.copy()
-    sigma[sigma < 1e-14 * (sigma[0] if sigma.size else 0.0)] = 0.0
+    sigma = _clamp_small(s_raw, s_raw[0])
     right_full = vh.conj().T  # n x n, trailing columns span any extra null space
     blocks = spectrum_blocks(sigma, tol)
 

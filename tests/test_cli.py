@@ -147,6 +147,31 @@ def test_parse_failures_exit_2(capsys, files):
         assert out == "", argv
 
 
+def test_tol_only_on_ortho_commands(capsys, files):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "--matrix", files["diag31"], "--norm", "spectral", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "ortho", "bj", "--matrix", files["eye2"], "--other",
+                     files["eye2"], "--norm", "spectral", "--tol", "1e-3")
+    assert code == 0
+
+
+def test_spectral_limit_norm_uses_the_2_1_subdifferential(capsys, files):
+    # p beyond P_CAP is the spectral norm, whose subdifferential is the (2, 1) one
+    code, out, _ = run(capsys, "subdiff", "--matrix", files["diag31"],
+                       "--norm", "kyfan:p=1e7,k=2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p"] == 2.0 and payload["k"] == 1
+    outs = []
+    for spec in ("kyfan:p=1e7,k=2", "spectral"):
+        code, out, _ = run(capsys, "ortho", "bj", "--matrix", files["a3"],
+                           "--other", files["x011"], "--norm", spec)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["orthogonal"] is True
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
                          ids=["nan", "inf", "-inf", "int1e400"])
 @pytest.mark.parametrize("command", [["norm"], ["dual"], ["ortho", "bj"]],

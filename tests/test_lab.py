@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from kyfan.approx import strict_spectral
+import kyfan.lab
+from kyfan.approx import best_approx, strict_spectral
 from kyfan.core import MatrixSubspace
 from kyfan.errors import InvalidInputError, IoError
 from kyfan.lab import (
@@ -17,6 +18,7 @@ from kyfan.lab import (
     p_sweep,
 )
 from kyfan.norms import NormSpec, norm_of_sigma
+from kyfan.solvers import GAP_TOL
 
 
 def test_default_p_grid():
@@ -96,6 +98,44 @@ def test_sweep_member_instance_all_zero():
         assert r.value_p <= 1e-8
         assert r.dist_to_strict <= 1e-7
         assert np.max(r.sigma) <= 1e-8
+
+
+def sweep_instances():
+    """(a, subspace) of the sweeps above: Chebyshev, counterexample, second block."""
+    ce_a, ce_x = counterexample_instance()
+    return [
+        (np.diag([3.0, 1.0, 0.0]).astype(complex),
+         MatrixSubspace([np.eye(3)], field="complex")),
+        (ce_a, MatrixSubspace([ce_x], field="complex")),
+        (np.diag([3.0, 1.0, 0.0]).astype(complex),
+         MatrixSubspace([np.diag([0.0, 1.0, 0.0])], field="complex")),
+    ]
+
+
+def test_sweep_makes_one_solve_per_p(monkeypatch):
+    a, sub = sweep_instances()[1]
+    st = strict_spectral(a, sub, starts=6, seed=0)
+    calls = []
+    monkeypatch.setattr(kyfan.lab, "best_approx",
+                        lambda *args, **kw: calls.append(kw) or best_approx(*args, **kw))
+    recs = p_sweep(a, sub, p_grid=[2.0, 4.0, 8.0], strict=st, starts=6, seed=0)
+    assert len(calls) == len(recs) == 3
+    # warm-started from the strict approximant, then from the previous p as well
+    assert [len(kw["extra_coeffs"]) for kw in calls] == [1, 2, 2]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_sweep_values_match_cold_solves(case):
+    a, sub = sweep_instances()[case]
+    st = strict_spectral(a, sub, starts=6, seed=0)
+    grid = [2.0, 4.0, 8.0, 16.0]
+    recs = p_sweep(a, sub, p_grid=grid, strict=st, starts=6, seed=0)
+    for i, r in enumerate(recs):
+        assert not r.flags, r.p
+        # both values are closed brackets: each lies within GAP_TOL (1 + f) of the optimum
+        cold = best_approx(a, sub, NormSpec.schatten(r.p), starts=8, seed=100 + i)
+        assert cold.converged, r.p
+        assert abs(r.value_p - cold.value) <= GAP_TOL * (1.0 + cold.value), r.p
 
 
 def test_sweep_grid_validation():

@@ -68,6 +68,23 @@ def test_descriptor_rejects_small_p():
         descriptor(np.eye(2), p=2, k=3)
 
 
+def test_one_svd_per_descriptor(rng, monkeypatch):
+    a = rand_complex(rng, 3, 4)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    descriptor(a, 3, 2)
+    assert len(calls) == 1
+
+
+def test_descriptor_norm_value_matches_norm(rng):
+    # p = 1e7 lies beyond norms.P_CAP: both take the spectral limit sigma_1
+    for p, k in [(2, 1), (2, 3), (3, 2), (16, 2), (1e7, 2)]:
+        a = rand_complex(rng, 3, 4)
+        want = norm(a, NormSpec.kyfan(p, k))
+        assert abs(descriptor(a, p, k).norm_value - want) <= 1e-15 * want, (p, k)
+
+
 def test_sampled_extremes_unit_dual_norm_identity():
     d = descriptor(np.eye(2), p=2, k=1)
     for seed in (0, 1):
