@@ -9,18 +9,20 @@ extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*, which has dual norm 1
 and pairing ||R|| for every p >= 1 (Watson 1992).
 
 A solve stops at the first duality-gap bracket [lower, f] within GAP_TOL.  The
-start of least value is polished first: BFGS with the exact gradient stops at
-the first bracket certify_best can certify (Hoelder), else its end point gets
-the lower bound (Hoelder, or the face bound at a kink).  A sigma_1 optimum is
-generically a kink, which BFGS creeps toward and never settles on (Lewis &
-Overton 2013); so for the sigma_1 norms BFGS hands its first iterate with
-sigma_2 tied to sigma_1 within KINK_TOL to Newton steps for the multiple
-eigenvalue (Overton 1988), which land on the kink, and the face bound closes
-there.  If they miss, BFGS resumes once from their best point.  Only while the
-bracket stays open (kinks the Newton step misses, and kinks of p < 2, which
-have no face bound) do the budgets act: lockstep multi-start Polyak-step
-subgradient descent with one stacked SVD per step, the polish of the best
-finals, Nelder-Mead and, for dimension <= GRID_DIM_LIMIT, a batched grid pass.
+start of least value is polished first: BFGS with the exact gradient and a
+weak Wolfe line search, which also steps across kinks (Lewis & Overton 2013),
+stops at the first bracket certify_best can certify (Hoelder), else its end
+point gets the lower bound (Hoelder, or the face bound at a kink).  A sigma_1
+optimum is generically a kink, which BFGS creeps toward and never settles on;
+so for the sigma_1 norms BFGS hands its first iterate with sigma_2 tied to
+sigma_1 within KINK_TOL to Newton steps for the multiple eigenvalue (Overton
+1988), which land on the kink, and the face bound closes there.  If they miss,
+BFGS resumes once from their best point.  Only while the bracket stays open
+(kinks the Newton step misses, and kinks of p < 2, which have no face bound)
+do the budgets act: lockstep multi-start Polyak-step subgradient descent with
+one stacked SVD per step, the polish of the best finals, Nelder-Mead and, for
+dimension <= GRID_DIM_LIMIT, a batched grid pass.  Nelder-Mead is the one use
+of scipy, imported where it runs, so importing kyfan does not load it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .norms import _sigma_norm, dual_norm
 from .subdiff import descriptor, face_min_norm
@@ -273,68 +274,92 @@ def polyak_descent(fg, x0, iters=150):
     return best_x, best_f
 
 
-def polish(obj, x0):
-    """Local refinement of the Objective obj from x0: BFGS on obj.value_and_grad,
-    then Nelder-Mead on obj.value.
+def bfgs(obj, x, handoff):
+    """BFGS on obj.value_and_grad from x, with a weak Wolfe line search.
 
-    BFGS stops at the first iterate whose Hoelder bound closes the bracket with
-    ||g|| <= min(obj.face_tol(f), CERT_TOL), so certify_best certifies it; else
-    the bracket is checked at its final point and, for k_eff = 1, after each
-    accepted kink Newton step.  For k_eff = 1 BFGS also stops at its first
-    iterate with sigma_2 >= sigma_1 (1 - KINK_TOL) and hands it to kink_newton;
-    the singular values come from the SVD of that iterate's evaluation.  If
-    kink_newton does not close the bracket, BFGS resumes once from its best
-    point without the hand-off and the path above runs to its end.  Returns
-    (x, f, bracket): bracket is obj.lower_bound's (lower, kind) once closed,
-    else None after Nelder-Mead.
+    A weak Wolfe step (decrease 1e-4, curvature 0.9) exists on a kink, where
+    the strong Wolfe test cannot be met (Lewis & Overton 2013): doubling
+    brackets it, bisection finds it.  The
+    inverse Hessian starts at I, rescaled by s.y / y.y at the first update
+    (Nocedal & Wright eq. 6.20); a pair with s.y <= 0 is not taken.  Every
+    iterate, the start included, is tested from its own evaluation: the run
+    stops where the Hoelder bound closes the bracket with ||g|| <=
+    min(obj.face_tol(f), CERT_TOL), so that certify_best certifies it; with
+    handoff, where sigma_2 >= sigma_1 (1 - KINK_TOL); and at max |g_i| <=
+    1e-12, after 300 iterations or when a line search fails in 60 trials.
+    Returns (x, f, g, tied) at the last accepted iterate; tied says that the
+    run stopped for the hand-off.
     """
-    best_x = np.asarray(x0, dtype=float).copy()
-    best_f = obj.value_and_grad(best_x)[0]  # BFGS's kernel, so an optimal start is kept
-    if best_x.size == 0:
-        return best_x, best_f, None
-    last = None  # (x, f, g, sigma) of BFGS's last call: the stops need no extra SVD
-
-    def fg(x):
-        nonlocal last
-        f, g = obj.value_and_grad(x)
-        last = (x.copy(), f, g, obj.sigma)
-        return f, g
-
-    def stop(intermediate_result):
-        nonlocal tied
-        x, f, g, s = last
-        if not np.array_equal(x, intermediate_result.x):
-            return
+    f, g = obj.value_and_grad(x)
+    sigma, h = obj.sigma, None  # h: the inverse Hessian, I until the first update
+    for _ in range(300):
         if closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL):
-            raise StopIteration
-        if handoff and s.size > 1 and s[1] >= s[0] * (1.0 - KINK_TOL):
-            tied = True
-            raise StopIteration
+            break
+        if handoff and sigma.size > 1 and sigma[1] >= sigma[0] * (1.0 - KINK_TOL):
+            return x, f, g, True
+        d = -g if h is None else -h @ g
+        slope = g @ d
+        if np.max(np.abs(g)) <= 1e-12 or not slope < 0.0:
+            break
+        lo, hi, t = 0.0, np.inf, 1.0
+        for _ in range(60):
+            y = x + t * d
+            fy, gy = obj.value_and_grad(y)
+            if not fy <= f + 1e-4 * t * slope:
+                hi = t
+            elif gy @ d < 0.9 * slope:
+                lo = t
+            else:
+                break
+            t = 2.0 * lo if hi == np.inf else 0.5 * (lo + hi)
+        else:
+            break
+        s, dg = y - x, gy - g
+        sy = s @ dg
+        if sy > 0.0:
+            if h is None:
+                h = np.eye(x.size) * (sy / (dg @ dg))
+            v = np.eye(x.size) - np.outer(s, dg) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+        x, f, g, sigma = y, fy, gy, obj.sigma
+    return x, f, g, False
 
+
+def polish(obj, x0):
+    """Local refinement of the Objective obj from x0: bfgs, then Nelder-Mead on obj.value.
+
+    bfgs stops at the first iterate whose bracket closes certifiably; else the
+    bracket is checked at its final point and, for k_eff = 1, after each
+    accepted kink Newton step.  For k_eff = 1 bfgs also stops at its first
+    iterate with sigma_2 >= sigma_1 (1 - KINK_TOL) and hands it to
+    kink_newton.  If kink_newton does not close the bracket, bfgs resumes once
+    from its best point without the hand-off and the path above runs to its
+    end.  Only a bracket still open reaches Nelder-Mead, the one use of scipy,
+    which is imported there.  Returns (x, f, bracket): bracket is
+    obj.lower_bound's (lower, kind) once closed, else None after Nelder-Mead.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size == 0:
+        return x, obj.value_and_grad(x)[0], None
     for handoff in (obj.k_eff == 1, False):
-        tied = False
-        try:
-            res = minimize(fg, best_x, jac=True, method="BFGS", callback=stop,
-                           options={"gtol": 1e-12, "maxiter": 300})
-        except Exception:
-            res = None
-        if res is not None and res.fun <= best_f:
-            best_x, best_f = np.asarray(res.x), float(res.fun)
-            bracket = obj.lower_bound(best_x, best_f, res.jac)
-            if closes(best_f, bracket[0]):
-                return best_x, best_f, bracket
-            if obj.k_eff == 1:
-                best_x, best_f, bracket = kink_newton(obj, best_x, best_f)
-                if bracket is not None:
-                    return best_x, best_f, bracket
+        x, f, g, tied = bfgs(obj, x, handoff)
+        bracket = obj.lower_bound(x, f, g)
+        if closes(f, bracket[0]):
+            return x, f, bracket
+        if obj.k_eff == 1:
+            x, f, bracket = kink_newton(obj, x, f)
+            if bracket is not None:
+                return x, f, bracket
         if not tied:
             break
-    res = minimize(obj.value, best_x, method="Nelder-Mead",
+    from scipy.optimize import minimize
+
+    res = minimize(obj.value, x, method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-15,
-                            "maxiter": 400 * best_x.size, "maxfev": 400 * best_x.size})
-    if res.fun < best_f:
-        best_x, best_f = np.asarray(res.x), float(res.fun)
-    return best_x, best_f, None
+                            "maxiter": 400 * x.size, "maxfev": 400 * x.size})
+    if res.fun < f:
+        x, f = np.asarray(res.x), float(res.fun)
+    return x, f, None
 
 
 def kink_newton(obj, x, f):
@@ -345,9 +370,9 @@ def kink_newton(obj, x, f):
     So every step is taken, and a point is accepted when f does not rise
     above round-off of the best accepted value; the bracket is checked there.
     A rise beyond 1e-6 of f means the step fixed too few tied values (polish
-    hands over a point tied within KINK_TOL, but a resumed BFGS, or one whose
-    first line search fails, can end farther from the tie): the next singular
-    value joins the multiplicity t and the steps restart from the best point.
+    hands over a point tied within KINK_TOL, but a resumed BFGS can end
+    farther from the tie): the next singular value joins the multiplicity t
+    and the steps restart from the best point.
     Returns (x, f, bracket) at the first accepted point whose bracket closes,
     else (best point, its value, None).
     """

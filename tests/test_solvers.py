@@ -3,9 +3,15 @@ descriptor, which stays the independent oracle; the stacked kernel and the
 lockstep descent against their one-point forms; the duality-gap bracket's
 soundness and where it stops the solve."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.optimize
 
+import kyfan
 from kyfan import solvers
 from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
@@ -285,9 +291,12 @@ def test_bracket_closes_at_least_squares_point(rng):
 
 
 def count_local_work(monkeypatch):
+    """Records "BFGS" per solvers.bfgs run and each scipy method polish calls
+    (polish imports scipy.optimize.minimize where it calls it), and grid passes."""
     methods, grids = [], []
-    minimize, grid_refine = solvers.minimize, solvers.grid_refine
-    monkeypatch.setattr(solvers, "minimize",
+    bfgs, minimize, grid_refine = solvers.bfgs, scipy.optimize.minimize, solvers.grid_refine
+    monkeypatch.setattr(solvers, "bfgs", lambda *args, **kw: methods.append("BFGS") or bfgs(*args, **kw))
+    monkeypatch.setattr(scipy.optimize, "minimize",
                         lambda *args, **kw: methods.append(kw["method"]) or minimize(*args, **kw))
     monkeypatch.setattr(solvers, "grid_refine",
                         lambda *args, **kw: grids.append(1) or grid_refine(*args, **kw))
@@ -372,17 +381,51 @@ def test_kink_newton_reaches_the_tied_optimum(rng):
 
 
 def test_kink_newton_adds_a_tied_value_when_a_step_rises(monkeypatch):
-    """A = diag(3, 1, 0) against span{I}: BFGS's first line search fails, so
-    it ends at its start, where sigma_2 is 9% below sigma_1, and no iterate
-    reaches the tie for the hand-off.  The first Newton steps fix one value
-    and raise f; with the next value added they land on (1.5, 1.5, 0.5) in
-    the first polish."""
+    """A = diag(3, 1, 0) against span{I} from the least-squares start, where
+    sigma = (5/3, 4/3, 1/3) and sigma_2 is 20% below sigma_1.  The first Newton
+    step fixes one value and raises f; with the next value added (t goes
+    1 -> 2) the steps land on (1.5, 1.5, 0.5) and the face bound closes."""
     a = np.diag([3.0, 1.0, 0.0]).astype(complex)
-    methods, grids = count_local_work(monkeypatch)
+    obj = Objective(a, MatrixSubspace([np.eye(3)], field="complex"), NormSpec.spectral())
+    ts = []
+    newton_step = Objective.newton_step
+
+    def recorded_step(self, *args):
+        out = newton_step(self, *args)
+        ts.append(out[2])
+        return out
+
+    monkeypatch.setattr(Objective, "newton_step", recorded_step)
+    x0 = obj.a_x
+    assert np.allclose(np.linalg.svd(obj.residual(x0), compute_uv=False), [5 / 3, 4 / 3, 1 / 3])
+    x, f, bracket = solvers.kink_newton(obj, x0, obj.value(x0))
+    assert ts[0] == 1 and ts[-1] == 2
+    assert abs(f - 1.5) <= 1e-12 and bracket is not None and bracket[1] == "face"
+    assert closes(f, bracket[0])
+    assert np.max(np.abs(np.linalg.svd(obj.residual(x), compute_uv=False) - [1.5, 1.5, 0.5])) <= 1e-12
+
+
+def test_first_line_search_moves_off_a_kinked_start(monkeypatch):
+    """diag(3, 1, 0) against span{I}: the weak Wolfe line search of the first
+    bfgs run leaves its start, a kinked point where a strong Wolfe search
+    cannot finish, and the solve closes on the face bound in 28 evaluations
+    (62 when the first run stayed at its start)."""
+    a = np.diag([3.0, 1.0, 0.0]).astype(complex)
+    runs = []
+    bfgs = solvers.bfgs
+
+    def recorded_bfgs(obj, x, handoff):
+        out = bfgs(obj, x, handoff)
+        runs.append((x, out[0]))
+        return out
+
+    monkeypatch.setattr(solvers, "bfgs", recorded_bfgs)
     res = best_approx(a, MatrixSubspace([np.eye(3)], field="complex"), NormSpec.spectral(),
                       starts=6, seed=0)
-    assert methods == ["BFGS"] and grids == [] and res.trace["iterations"] == 0
-    assert res.trace["bound"] == "face" and res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
+    assert not np.array_equal(runs[0][0], runs[0][1])
+    assert res.trace["iterations"] == 0 and res.trace["bound"] == "face"
+    assert res.trace["duality_gap"] <= GAP_TOL * (1.0 + res.value)
+    assert res.trace["evaluations"] <= 35
     assert np.max(np.abs(res.sigma - [1.5, 1.5, 0.5])) <= 1e-12
 
 
@@ -398,9 +441,8 @@ def count_value_and_grad(monkeypatch):
 
 def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
     """The smooth dim-3 solve of test_best_approx_descent_svd_count: BFGS stops at its first iterate whose
-    Hoelder bound closes the bracket with ||g|| <= face_tol(f), CERT_TOL.  Run on to
-    gtol = 1e-12 it took 42 evaluations; it takes 14, and the point it
-    stops at is certified."""
+    Hoelder bound closes the bracket with ||g|| <= face_tol(f), CERT_TOL: 7
+    evaluations here, and the point it stops at is certified."""
     a = rand_complex(rng, 3, 3)
     sub = MatrixSubspace([rand_complex(rng, 3, 3) for _ in range(3)], field="real")
     spec = NormSpec.kyfan(3, 2)
@@ -415,44 +457,44 @@ def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
     assert certify_best(a, sub, spec, res).found
 
 
-# approx benchmark workload, seed 5, case 12: a 2 x 2 complex matrix against a
+# approx benchmark workload, seed 6, case 0: a 2 x 2 complex matrix against a
 # complex dim-1 subspace in the Schatten-3 norm (perfbench/workloads.py,
-# make_plan("approx", 5).cases[12], library seed 5095043)
-SEED5_CASE12_A = np.array([
-    [0.1923790265486738 + 0.09889744535281286j, -0.7012195542230358 - 0.25242638232092607j],
-    [-0.1521086513787111 - 0.8067984678598894j, 0.1666136994198889 - 0.1375473485391715j]])
-SEED5_CASE12_X = np.array([
-    [0.055285006460712424 + 0.04965157540289682j, 0.14542975351710014 + 1.750641029886244j],
-    [0.9054525402235706 + 0.42885484706716465j, -0.07555811664062251 + 1.9242766348495666j]])
+# make_plan("approx", 6).cases[0], library seed 6000018)
+SEED6_CASE0_A = np.array([
+    [-1.0334038249136566 - 0.6406992664377421j, -0.06009124608466243 + 0.22153295520125355j],
+    [0.646146460623984 - 0.28236312823942633j, -0.8060042758606139 - 1.0045455327227812j]])
+SEED6_CASE0_X = np.array([
+    [0.9946558452995268 + 1.2858711351517036j, -0.1578995830357877 - 0.45954694259169754j],
+    [0.3957234096051707 + 0.11495065839496237j, 0.5564303625800218 + 0.07301829392134637j]])
 
 
-def solve_seed5_case12(scale=1.0):
-    sub = MatrixSubspace([SEED5_CASE12_X], field="complex")
+def solve_seed6_case0(scale=1.0):
+    sub = MatrixSubspace([SEED6_CASE0_X], field="complex")
     spec = NormSpec.schatten(3)
-    a = scale * SEED5_CASE12_A
-    res = best_approx(a, sub, spec, starts=6, iters=150, seed=5095043)
+    a = scale * SEED6_CASE0_A
+    res = best_approx(a, sub, spec, starts=6, iters=150, seed=6000018)
     assert res.converged and res.trace["iterations"] == 0
     return certify_best(a, sub, spec, res)
 
 
 def test_bracket_stop_waits_for_a_certifiable_gradient(monkeypatch):
-    """On this instance the Hoelder bound closes while ||P_S G|| = 1.2e-7 is
+    """On this instance the Hoelder bound closes while ||P_S G|| = 1.1e-7 is
     still above certify_best's cert_tol = 1e-7.  With the ||g|| clause BFGS
     runs on and the point is certified; without it, it is not."""
-    assert solve_seed5_case12().found
+    assert solve_seed6_case0().found
     monkeypatch.setattr(Objective, "face_tol", lambda self, f: np.inf)
     monkeypatch.setattr(solvers, "CERT_TOL", np.inf)
-    cert = solve_seed5_case12()
+    cert = solve_seed6_case0()
     assert not cert.found and cert.residual_perp > 1e-7
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e3])
 def test_bracket_stop_is_certifiable_at_any_scale(scale):
     """g does not change with the scale of A, but face_tol(f) grows like 1/f:
-    at scale 1e-3 it is 1.7e-5, and a stop on it alone left ||P_S G|| =
-    1.4e-5.  The stop also waits for ||g|| <= CERT_TOL, certify_best's
-    default, so every scale is certified."""
-    assert solve_seed5_case12(scale).found
+    at scale 1e-3 it is 1.3e-5, and a stop on it alone left ||P_S G|| =
+    6.9e-6 (at 1e-2, 1.5e-7).  The stop also waits for ||g|| <= CERT_TOL,
+    certify_best's default, so every scale is certified."""
+    assert solve_seed6_case0(scale).found
 
 
 # approx benchmark workload, seed 1, case 17: a 4 x 4 complex matrix against a
@@ -515,8 +557,8 @@ SEED1_CASE17_X = np.array([
 
 def test_sigma1_kink_is_handed_to_the_newton_step(monkeypatch):
     """BFGS stops at its first iterate with sigma_2 >= sigma_1 (1 - KINK_TOL)
-    and kink_newton closes the bracket on the face bound: 45 evaluations.
-    Run on at the tie, BFGS took 208."""
+    and kink_newton closes the bracket on the face bound: 60 evaluations.
+    Run on at the tie, BFGS took 188."""
     sub = MatrixSubspace(list(SEED1_CASE17_X), field="complex")
     spec = NormSpec.spectral()
     methods, grids = count_local_work(monkeypatch)
@@ -555,3 +597,11 @@ def test_evaluations_count_the_residuals(rng, monkeypatch):
     assert res.trace["bound"] == "hoelder"
     assert res.trace["evaluations"] == 6 + len(calls)
 
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Only polish's Nelder-Mead fallback uses scipy, and it imports it there."""
+    src = os.path.dirname(os.path.dirname(kyfan.__file__))
+    code = "import sys, kyfan; sys.exit('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
