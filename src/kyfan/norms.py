@@ -80,6 +80,14 @@ def _sigma_norm(sigma, p, k):
     return s1 * np.sum((top / scale[..., None]) ** p, axis=-1) ** (1.0 / p)
 
 
+def extreme_subgradient(u, sigma, vh, f, p, k):
+    """U_k diag((sigma_i / f)^(p-1)) V_k* from the SVD factors (or stacks of them)
+    of a matrix of (p, k) norm f: an extreme subgradient, of dual norm 1 and
+    pairing f.  The ratios are <= 1, so large p is safe; f = 0 divides by 1."""
+    ratio = sigma[..., :k] / np.where(f > 0, f, 1.0)[..., None]
+    return (u[..., :k] * ratio[..., None, :] ** (p - 1.0)) @ vh[..., :k, :]
+
+
 def norm(a, spec):
     """||a||_spec.  `a` may carry leading stack axes (..., m, n); broadcasts."""
     a = np.asarray(a, dtype=complex)

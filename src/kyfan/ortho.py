@@ -12,7 +12,10 @@ from the planar support function h(theta) = max Re(e^{-i theta} t), a top-r
 eigensum per direction.  One stacked eigvalsh scans 256 directions, and four
 zoomed stacked scans refine both extremes.  A true BJ verdict carries a
 witness: the subgradient G nearest to tr(G* B) = 0, found by face_min_norm
-with S = span_C{B}.
+with S = span_C{B}.  A false one carries a refuting lambda: the minimizer of
+||A + s e^{-i theta} B|| along the ray of steepest descent, found by an
+Illinois secant on its slope Re tr(G* e^{-i theta} B), with G the closed-form
+extreme subgradient from one SVD per point.
 
 The approximate (eps) variant asks ||A + zB||^2 >= ||A||^2 - 2 eps ||A|| ||zB||
 and reduces to min |t| <= eps ||B|| (complex scalars) or min |Re t| <= eps ||B||
@@ -34,8 +37,8 @@ import numpy as np
 
 from .core import MatrixSubspace, as_matrix
 from .errors import InvalidInputError
-from .norms import NormSpec, dual_norm, norm
-from .subdiff import descriptor, face_min_norm, pairing_range_parts
+from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm, norm_of_sigma
+from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk
 
 
 @dataclass
@@ -70,36 +73,19 @@ class InnerRange:
         return -self.support(np.pi), self.support(0.0)
 
 
-def _golden_min(fun, lo, hi, iters=60):
-    # golden-section search for the minimum of a unimodal fun on [lo, hi]
-    phi = (np.sqrt(5) - 1) / 2
-    c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - phi * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + phi * (hi - lo)
-            fd = fun(d)
-    x = (lo + hi) / 2
-    return x, fun(x)
-
-
-def inner_range(a, b, p, k, tol=None):
+def inner_range(a, b, p, k, tol=None, desc=None):
     """Compute T's geometry: fixed part, min |t|, max |t| and the extreme directions.
 
     Values carry the 1/||A||^(p-1) normalization, i.e. they are pairings with
-    dual-unit subgradients, so |t| <= ||B||_(p,k) always.
+    dual-unit subgradients, so |t| <= ||B||_(p,k) always.  A caller that holds
+    desc = descriptor(a, p, k, tol) passes it to spare its SVD.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise InvalidInputError("shape mismatch")
-    kwargs = {} if tol is None else {"tol": tol}
-    desc = descriptor(a, p, k, **kwargs)
+    if desc is None:
+        desc = descriptor(a, p, k, **({} if tol is None else {"tol": tol}))
     if desc.at_zero:
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
@@ -161,31 +147,54 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     carries a witness: the subgradient G at a nearest to tr(G* b) = 0
     (face_min_norm over span_C{b}).  A false one carries a refuting lambda
     with ||a + lambda b|| < ||a||: the minimizer along the ray of steepest
-    descent.  The decision is deterministic; seed is accepted for the shared
-    check signature.
+    descent e^{-i theta_min} b, found by a safeguarded Illinois secant on the
+    slope of s -> ||a + s e^{-i theta_min} b||.  The decision is
+    deterministic; seed is accepted for the shared check signature.
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    spec = NormSpec.kyfan(p, k)
-    na = norm(a, spec)
-    if na == 0.0:
+    desc = descriptor(a, p, k)
+    if desc.at_zero:
         # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
         triv = InnerRange(0.0, 0.0, 0.0, True)
         return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, triv)
-    rng_obj = inner_range(a, b, p, k)
+    rng_obj = inner_range(a, b, p, k, desc=desc)
     nb = float(np.linalg.norm(b))
     if rng_obj.min_abs <= tol * nb:
         onb = [b / nb] if nb > 0.0 else []
-        face = face_min_norm(rng_obj.desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
+        face = face_min_norm(desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
         resid = float(abs(np.vdot(face.g, b)))
         return BjResult(True, rng_obj.min_abs, face.g, resid, None, None, rng_obj)
 
-    # refute along e^{-i theta_min}: s -> ||a + s e^{-i theta_min} b|| is convex
-    # with slope -min_abs < 0 at s = 0 and exceeds ||a|| past 2||a||/||b||
-    direction = np.exp(-1j * rng_obj.theta_min)
-    s_star, _ = _golden_min(lambda s: norm(a + s * direction * b, spec),
-                            0.0, 2.0 * na / norm(b, spec))
-    lam = s_star * direction
+    # refute along d b, d = e^{-i theta_min}: phi(s) = ||a + s d b|| is convex with
+    # slope -min_abs < 0 at 0 and phi(hi) >= ||a|| at hi = 2||a||/||b||, so a slope
+    # >= 0 there.  The slope is Re tr(G* d b), G the extreme subgradient at a + s d b,
+    # and convexity bounds phi(s) - min phi by |phi'(s)| (hi - lo): the stop rule.
+    spec = NormSpec.kyfan(p, k)
+    (pf, kf), (pe, ke) = spec.resolve(min(a.shape)), subdiff_pk(spec, min(a.shape))
+    d = np.exp(-1j * rng_obj.theta_min)
+
+    def point(s):
+        u, sv, vh = np.linalg.svd(a + s * d * b, full_matrices=False)
+        f = float(_sigma_norm(sv, pf, kf))
+        return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, pe, ke), d * b).real)
+
+    lo, g_lo, hi, side = 0.0, -rng_obj.min_abs, 2.0 * desc.norm_value / norm(b, spec), 0
+    f, g_hi = point(hi)
+    best = (f, hi)
+    for _ in range(50):
+        s = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        s = s if lo < s < hi else 0.5 * (lo + hi)
+        f, g = point(s)
+        best = min(best, (f, s))
+        # Illinois: the slope of a bracket end kept twice in a row is halved
+        if g < 0.0:
+            lo, g_lo, g_hi, side = s, g, g_hi * (0.5 if side < 0 else 1.0), -1
+        else:
+            hi, g_hi, g_lo, side = s, g, g_lo * (0.5 if side > 0 else 1.0), 1
+        if abs(g) * (hi - lo) <= 1e-15 * f:
+            break
+    lam = best[1] * d
     return BjResult(False, rng_obj.min_abs, None, None, lam, norm(a + lam * b, spec), rng_obj)
 
 
@@ -212,10 +221,11 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     if mode not in ("complex", "real"):
         raise InvalidInputError("mode must be 'complex' or 'real'")
     nb = norm(b, NormSpec.kyfan(p, k))
-    if norm(a, NormSpec.kyfan(p, k)) == 0.0:
+    desc = descriptor(a, p, k)
+    if desc.at_zero:
         triv = InnerRange(0.0, 0.0, 0.0, True)
         return EpsBjResult(True, eps, mode, 0.0, eps * nb, triv)
-    rng_obj = inner_range(a, b, p, k)
+    rng_obj = inner_range(a, b, p, k, desc=desc)
     if mode == "complex":
         attained = rng_obj.min_abs
     else:
@@ -245,10 +255,11 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
     a = as_matrix(a)
     b = as_matrix(b)
     spec = NormSpec.kyfan(p, k)
-    na, nb = norm(a, spec), norm(b, spec)
+    desc = descriptor(a, p, k)
+    na, nb = desc.norm_value, norm(b, spec)
     if na == 0.0 or nb == 0.0:
         raise InvalidInputError("check_parallel needs nonzero a and b")
-    rng_obj = inner_range(a, b, p, k)
+    rng_obj = inner_range(a, b, p, k, desc=desc)
     if rng_obj.desc.rank_deficient:
         return ParallelResult(None, None, rng_obj.max_abs, nb, True, None)
     is_par = rng_obj.max_abs >= nb - tol * max(1.0, nb)
@@ -329,8 +340,8 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):
     """
     a = as_matrix(a)
     spec = NormSpec.kyfan(p, k)
-    na = norm(a, spec)
     f_sigma = np.linalg.svd(a, compute_uv=False)
+    na = norm_of_sigma(f_sigma, spec)
     ata = a.conj().T @ a
 
     report = {}
@@ -358,7 +369,7 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):
     report["dual_norm_bound"] = bound
 
     rng = np.random.default_rng(seed)
-    min_gap = 0.0
+    dirs = []
     for _ in range(samples if subspace.dim else 0):
         if subspace.field == "real":
             coef = rng.standard_normal(subspace.dim)
@@ -368,7 +379,8 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):
         nrm_b = np.linalg.norm(bdir)
         if nrm_b > 0:
             bdir = bdir * (rng.uniform(0.1, 2.0) * max(na, 1.0) / nrm_b)
-        min_gap = min(min_gap, norm(a + bdir, spec) - na)
+        dirs.append(bdir)
+    min_gap = min(0.0, float(np.min(norm(a + np.array(dirs), spec))) - na) if dirs else 0.0
     report["min_direction_gap"] = min_gap
 
     ok = (psd_ok and trace_ok and resid_eig <= tol and resid_perp <= tol

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import _sigma_norm, dual_norm
+from .norms import _sigma_norm, dual_norm, extreme_subgradient
 from .subdiff import descriptor, face_min_norm
 
 # a solve stops once f - lower <= GAP_TOL * (1 + f); CERT_TOL is certify_best's
@@ -137,19 +137,17 @@ class Objective:
         """f(x) and a pulled-back subgradient from one SVD of the residual.
 
         The subgradient is the extreme point U_k diag((sigma_i/f)^(p-1)) V_k* of
-        the (p, k) norm for every p >= 1, the exact gradient wherever the norm
-        is differentiable.  At p = 1, 0**0 = 1 keeps the singular pairs of
-        zero singular values among the top k; at a zero residual this gives
-        U_k V_k*, also a subgradient there, and 0 for p > 1.  A stack of
-        points gives a stack of values and gradients; one point gives a float
-        and a vector.
+        the (p, k) norm for every p >= 1 (norms.extreme_subgradient), the exact
+        gradient wherever the norm is differentiable.  At p = 1, 0**0 = 1 keeps
+        the singular pairs of zero singular values among the top k; at a zero
+        residual this gives U_k V_k*, also a subgradient there, and 0 for p > 1.
+        A stack of points gives a stack of values and gradients; one point
+        gives a float and a vector.
         """
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
         self.sigma = s
         f = _sigma_norm(s, self.p, self.k)
-        k = self.k_eff
-        ratio = s[..., :k] / np.where(f > 0, f, 1.0)[..., None]
-        g = self.pullback((u[..., :k] * ratio[..., None, :] ** (self.p_eff - 1.0)) @ vh[..., :k, :])
+        g = self.pullback(extreme_subgradient(u, s, vh, f, self.p_eff, self.k_eff))
         return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
     def lower_bound(self, x, f, g):

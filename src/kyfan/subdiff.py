@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import BLOCK_TOL, SpectrumBlocks, _clamp_small, as_matrix, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
-from .norms import NormSpec, _sigma_norm, dual_norm, norm
+from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
 
 
 @dataclass
@@ -109,9 +109,8 @@ def descriptor(a, p, k, tol=BLOCK_TOL):
     right_full = vh.conj().T  # n x n, trailing columns span any extra null space
     blocks = spectrum_blocks(sigma, tol)
 
-    # prefactor = W diag((sigma_i/||A||)^(p-1)) Z*; ratios <= 1 so large p is safe
-    ratios = (sigma / nrm) ** (p - 1.0)
-    prefactor = (u[:, :n0] * ratios) @ vh[:n0, :]
+    # prefactor = W diag((sigma_i/||A||)^(p-1)) Z*, the extreme subgradient at k = n0
+    prefactor = extreme_subgradient(u, sigma, vh, nrm, p, n0)
 
     bases = eigenspace_bases(blocks, right_full, n0)
     full_blocks, boundary = [], None

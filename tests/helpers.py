@@ -62,6 +62,49 @@ def psd_power(h, s, tol=1e-10):
     return (v * pw) @ v.conj().T
 
 
+def golden_min(fun, lo, hi, iters=60):
+    """Golden-section search for the minimum of a unimodal fun on [lo, hi]:
+    the cross-check for `kyfan.check_bj`'s refuting lambda (62 evaluations).
+    Returns (x, fun(x))."""
+    phi = (np.sqrt(5) - 1) / 2
+    c, d = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - phi * (hi - lo)
+            fc = fun(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + phi * (hi - lo)
+            fd = fun(d)
+    x = (lo + hi) / 2
+    return x, fun(x)
+
+
+def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
+    """min(0, min_j ||a + b_j|| - ||a||) over `kyfan.verify_certificate`'s
+    sampled directions b_j, drawn in its order with one norm call each: the
+    reference for its single stacked call."""
+    from kyfan.norms import NormSpec, norm
+
+    spec = NormSpec.kyfan(p, k)
+    na = norm(a, spec)
+    rng = np.random.default_rng(seed)
+    gap = 0.0
+    for _ in range(samples if subspace.dim else 0):
+        if subspace.field == "real":
+            coef = rng.standard_normal(subspace.dim)
+        else:
+            coef = rng.standard_normal(subspace.dim) + 1j * rng.standard_normal(subspace.dim)
+        bdir = subspace.combine(coef)
+        nrm_b = np.linalg.norm(bdir)
+        if nrm_b > 0:
+            bdir = bdir * (rng.uniform(0.1, 2.0) * max(na, 1.0) / nrm_b)
+        gap = min(gap, norm(a + bdir, spec) - na)
+    return gap
+
+
 def project_subspace(x, subspace):
     """Split x into its component in `subspace` and the orthogonal remainder."""
     return subspace.project(x)

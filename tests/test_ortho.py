@@ -15,7 +15,8 @@ from kyfan.ortho import (
 from kyfan.subdiff import (canonical_extreme, descriptor, dir_derivative, membership,
                            sample_extreme)
 
-from conftest import lambda_min_norm, orthogonal_to, rand_complex, tied_probe
+from conftest import lambda_min_norm, orthogonal_to, rand_complex, rand_with_sigma, tied_probe
+from helpers import golden_min, sampled_direction_gap
 
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -118,6 +119,49 @@ def test_check_bj_matches_lambda_grid(rng):
                 assert res.refuting_norm == norm(a + res.refuting_lambda * b, spec)
             checked += 1
     assert checked >= 30
+
+
+def test_refutation_matches_golden_section_in_fewer_svds(rng, monkeypatch):
+    # the secant on the slope reaches the golden-section minimum along the same
+    # ray, on generic, tied (sigma_k = sigma_(k+1)) and rank-deficient A, with
+    # fewer SVDs in the whole check_bj call than the 62 of the golden section
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    refuted = 0
+    for t in range(18):
+        kind = ("random", "tied", "rankdef")[t % 3]
+        k = 1 + t % 3
+        if kind == "random":
+            a = rand_complex(rng, 4, 4)
+        else:
+            sigma = np.sort(rng.uniform(0.3, 3.0, 4))[::-1]
+            if kind == "tied":
+                sigma[k] = sigma[k - 1]
+            else:
+                sigma[2:] = 0.0
+            a = rand_with_sigma(rng, sigma)
+        b = rand_complex(rng, 4, 4)
+        for p in (2.0, 3.0, 4.0, 16.0):
+            calls.clear()
+            res = check_bj(a, b, p, k)
+            svds = len(calls)
+            if res.orthogonal:
+                continue
+            spec = NormSpec.kyfan(p, k)
+            na = norm(a, spec)
+            direction = np.exp(-1j * res.inner.theta_min)
+            _, oracle = golden_min(lambda s: norm(a + s * direction * b, spec),
+                                   0.0, 2.0 * na / norm(b, spec))
+            assert res.refuting_norm < na, (t, p)
+            assert res.refuting_norm <= oracle * (1.0 + 1e-14), (t, p, res.refuting_norm, oracle)
+            assert svds < 62, (t, p, svds)
+            refuted += 1
+    assert refuted >= 60
 
 
 def test_check_bj_constructed_orthogonal(rng):
@@ -263,6 +307,32 @@ def test_certificate_zero_subspace(rng):
     assert cert.feasible and cert.residual_perp == 0.0
     ok, _ = verify_certificate(a, sub, 2, 2, cert)
     assert ok
+
+
+def test_verify_certificate_matches_per_sample_loop(rng):
+    # one stacked norm call gives the gap and verdict of one call per sample;
+    # random subspaces make the sampled gaps negative, orthogonal ones verify
+    gaps = []
+    for field in ("real", "complex"):
+        for dim in (0, 1, 2):
+            for orthogonal in (True, False):
+                a = rand_complex(rng, 3, 4)
+                p, k = (2.0, 1) if dim % 2 else (3.0, 2)
+                g = canonical_extreme(descriptor(a, p, k))
+                basis = [orthogonal_to(rng, g) if orthogonal else rand_complex(rng, 3, 4)
+                         for _ in range(dim)]
+                sub = MatrixSubspace(basis, field=field, shape=(3, 4))
+                cert = subspace_certificate(a, sub, p, k)
+                for samples in (1, 20):
+                    ok, report = verify_certificate(a, sub, p, k, cert, samples=samples, seed=dim)
+                    gap = sampled_direction_gap(a, sub, p, k, samples=samples, seed=dim)
+                    assert report["min_direction_gap"] == gap, (field, dim, orthogonal, samples)
+                    rest = (report["psd_ok"] and report["trace_ok"]
+                            and report["residual_eig"] <= 1e-8 and report["residual_perp"] <= 1e-8
+                            and report["dual_norm_bound"] <= 1.0 + 1e-8)
+                    assert ok == (rest and gap >= -1e-9 * max(1.0, norm(a, NormSpec.kyfan(p, k))))
+                    gaps.append(gap)
+    assert min(gaps) < 0.0 and gaps.count(0.0) >= 8
 
 
 def test_certificate_infeasible_member():

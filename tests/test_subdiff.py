@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kyfan.core import MatrixSubspace
+from kyfan.core import MatrixSubspace, _clamp_small
 
 from kyfan.errors import InvalidInputError, UnsupportedError
-from kyfan.norms import NormSpec, dual_norm, norm
+from kyfan.norms import NormSpec, dual_norm, extreme_subgradient, norm, norm_of_sigma
 from kyfan.subdiff import (
     canonical_extreme,
     descriptor,
@@ -308,3 +308,25 @@ def test_face_min_norm_bounds_and_atom_cap(rng):
         else:
             assert face.lower > 1e-9, t  # a random subspace: proved infeasible
     assert found == 18
+
+
+def test_extreme_subgradient_kernel(rng):
+    # the closed form shared by the solver objective, descriptor's prefactor and
+    # the BJ refutation: pairing ||A||, dual norm 1, and the prefactor at k = n0
+    spectra = {"generic": np.sort(rng.uniform(0.3, 3.0, 4))[::-1],
+               "tied": np.array([3.0, 2.0, 2.0, 0.5]),
+               "rankdef": np.array([3.0, 1.0, 0.0, 0.0])}
+    # (spec, p, k) with the spectral limit on the (2, 1) subgradient
+    norms = [(NormSpec.kyfan(2, 2), 2.0, 2), (NormSpec.kyfan(3, 2), 3.0, 2),
+             (NormSpec.kyfan(16, 3), 16.0, 3), (NormSpec.spectral(), 2.0, 1)]
+    for kind, sigma in spectra.items():
+        a = rand_with_sigma(rng, sigma)
+        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        for spec, p, k in norms:
+            f = norm_of_sigma(s, spec)
+            g = extreme_subgradient(u, s, vh, f, p, k)
+            assert abs(np.vdot(g, a).real - f) <= 1e-12 * f, (kind, spec)
+            assert abs(dual_norm(g, spec) - 1.0) <= 1e-12, (kind, spec)
+            desc = descriptor(a, p, k)
+            want = extreme_subgradient(u, _clamp_small(s, s[0]), vh, desc.norm_value, p, 4)
+            assert np.array_equal(desc.prefactor, want), (kind, spec)
