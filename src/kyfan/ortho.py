@@ -73,19 +73,18 @@ class InnerRange:
         return -self.support(np.pi), self.support(0.0)
 
 
-def inner_range(a, b, p, k, tol=None, desc=None):
+def inner_range(a, b, p, k, tol=None):
     """Compute T's geometry: fixed part, min |t|, max |t| and the extreme directions.
 
     Values carry the 1/||A||^(p-1) normalization, i.e. they are pairings with
-    dual-unit subgradients, so |t| <= ||B||_(p,k) always.  A caller that holds
-    desc = descriptor(a, p, k, tol) passes it to spare its SVD.
+    dual-unit subgradients, so |t| <= ||B||_(p,k) always.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise InvalidInputError("shape mismatch")
-    if desc is None:
-        desc = descriptor(a, p, k, **({} if tol is None else {"tol": tol}))
+    kwargs = {} if tol is None else {"tol": tol}
+    desc = descriptor(a, p, k, **kwargs)
     if desc.at_zero:
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
@@ -153,16 +152,17 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     """
     a = as_matrix(a)
     b = as_matrix(b)
-    desc = descriptor(a, p, k)
-    if desc.at_zero:
+    spec = NormSpec.kyfan(p, k)
+    pf, kf = spec.resolve(min(a.shape))  # an invalid (p, k) raises here, also at a = 0
+    if not np.any(a):
         # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
         triv = InnerRange(0.0, 0.0, 0.0, True)
         return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, triv)
-    rng_obj = inner_range(a, b, p, k, desc=desc)
+    rng_obj = inner_range(a, b, p, k)
     nb = float(np.linalg.norm(b))
     if rng_obj.min_abs <= tol * nb:
         onb = [b / nb] if nb > 0.0 else []
-        face = face_min_norm(desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
+        face = face_min_norm(rng_obj.desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
         resid = float(abs(np.vdot(face.g, b)))
         return BjResult(True, rng_obj.min_abs, face.g, resid, None, None, rng_obj)
 
@@ -170,8 +170,7 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     # slope -min_abs < 0 at 0 and phi(hi) >= ||a|| at hi = 2||a||/||b||, so a slope
     # >= 0 there.  The slope is Re tr(G* d b), G the extreme subgradient at a + s d b,
     # and convexity bounds phi(s) - min phi by |phi'(s)| (hi - lo): the stop rule.
-    spec = NormSpec.kyfan(p, k)
-    (pf, kf), (pe, ke) = spec.resolve(min(a.shape)), subdiff_pk(spec, min(a.shape))
+    pe, ke = subdiff_pk(spec, min(a.shape))
     d = np.exp(-1j * rng_obj.theta_min)
 
     def point(s):
@@ -179,7 +178,7 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
         f = float(_sigma_norm(sv, pf, kf))
         return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, pe, ke), d * b).real)
 
-    lo, g_lo, hi, side = 0.0, -rng_obj.min_abs, 2.0 * desc.norm_value / norm(b, spec), 0
+    lo, g_lo, hi, side = 0.0, -rng_obj.min_abs, 2.0 * rng_obj.desc.norm_value / norm(b, spec), 0
     f, g_hi = point(hi)
     best = (f, hi)
     for _ in range(50):
@@ -221,11 +220,10 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     if mode not in ("complex", "real"):
         raise InvalidInputError("mode must be 'complex' or 'real'")
     nb = norm(b, NormSpec.kyfan(p, k))
-    desc = descriptor(a, p, k)
-    if desc.at_zero:
+    if not np.any(a):
         triv = InnerRange(0.0, 0.0, 0.0, True)
         return EpsBjResult(True, eps, mode, 0.0, eps * nb, triv)
-    rng_obj = inner_range(a, b, p, k, desc=desc)
+    rng_obj = inner_range(a, b, p, k)
     if mode == "complex":
         attained = rng_obj.min_abs
     else:
@@ -255,11 +253,11 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
     a = as_matrix(a)
     b = as_matrix(b)
     spec = NormSpec.kyfan(p, k)
-    desc = descriptor(a, p, k)
-    na, nb = desc.norm_value, norm(b, spec)
-    if na == 0.0 or nb == 0.0:
+    nb = norm(b, spec)
+    if not np.any(a) or nb == 0.0:
         raise InvalidInputError("check_parallel needs nonzero a and b")
-    rng_obj = inner_range(a, b, p, k, desc=desc)
+    rng_obj = inner_range(a, b, p, k)
+    na = rng_obj.desc.norm_value
     if rng_obj.desc.rank_deficient:
         return ParallelResult(None, None, rng_obj.max_abs, nb, True, None)
     is_par = rng_obj.max_abs >= nb - tol * max(1.0, nb)

@@ -71,7 +71,16 @@ def test_check_bj_knowns():
 
 
 def test_check_bj_zero_matrix(rng):
-    assert check_bj(np.zeros((2, 2)), rand_complex(rng, 2, 2), p=2, k=1).orthogonal
+    b = rand_complex(rng, 2, 2)
+    assert check_bj(np.zeros((2, 2)), b, p=2, k=1).orthogonal
+    # the zero matrix is decided before any descriptor, so p < 2, which has
+    # none, still gets the trivial verdict; an invalid p still raises
+    assert check_bj(np.zeros((2, 2)), b, p=1.5, k=1).orthogonal
+    assert check_eps_bj(np.zeros((2, 2)), b, p=1.5, k=1, eps=0.1).satisfied
+    with pytest.raises(InvalidInputError):
+        check_bj(np.zeros((2, 2)), b, p=np.inf, k=1)
+    with pytest.raises(InvalidInputError):
+        check_eps_bj(np.zeros((2, 2)), b, p=np.inf, k=1, eps=0.1)
 
 
 def test_check_bj_witness(rng):
@@ -278,8 +287,9 @@ def test_parallel_rank_deficient_undefined():
 
 
 def test_parallel_validation():
-    with pytest.raises(InvalidInputError):
-        check_parallel(np.zeros((2, 2)), np.eye(2), 2, 1)
+    for p in (2, 1.5):
+        with pytest.raises(InvalidInputError):
+            check_parallel(np.zeros((2, 2)), np.eye(2), p, 1)
 
 
 # --- subspace certificates ---------------------------------------------------

@@ -86,6 +86,24 @@ def test_fused_gradient_at_zero_and_below_p2(rng):
             assert abs(np.vdot(g_mat, r).real - f) <= 1e-12 * f, spec
 
 
+def test_fused_gradient_bit_identical_to_closed_form(rng):
+    """value_and_grad's subgradient is U_k diag((sigma_i/f)^(p-1)) V_k*, written out
+    here with every floating-point operation pinned, on one point and on a stack."""
+    for spec in SPECS + LOW_P_SPECS:
+        for sigma in SPECTRA:
+            a, sub, x = instance(rng, sigma, "complex", 4, 5)
+            obj = Objective(a, sub, spec)
+            xs = np.stack([x, x + 0.1 * rng.standard_normal(x.size)])
+            for pts in (x, xs):
+                f, g = obj.value_and_grad(pts)
+                u, s, vh = np.linalg.svd(obj.residual(pts), full_matrices=False)
+                want_f = _sigma_norm(s, obj.p, obj.k)
+                p, k = obj.p_eff, obj.k_eff
+                ratio = s[..., :k] / np.where(want_f > 0, want_f, 1.0)[..., None]
+                want_g = obj.pullback((u[..., :k] * ratio[..., None, :] ** (p - 1.0)) @ vh[..., :k, :])
+                assert np.array_equal(f, want_f) and np.array_equal(g, want_g), spec
+
+
 def test_fused_gradient_central_difference(rng):
     h = 1e-6
     for t in range(12):

@@ -327,6 +327,9 @@ def test_extreme_subgradient_kernel(rng):
             g = extreme_subgradient(u, s, vh, f, p, k)
             assert abs(np.vdot(g, a).real - f) <= 1e-12 * f, (kind, spec)
             assert abs(dual_norm(g, spec) - 1.0) <= 1e-12, (kind, spec)
+            # descriptor's prefactor, written out: W diag((sigma_i/||A||)^(p-1)) Z*
+            # on the clamped sigma, with every floating-point operation pinned
             desc = descriptor(a, p, k)
-            want = extreme_subgradient(u, _clamp_small(s, s[0]), vh, desc.norm_value, p, 4)
+            sc = _clamp_small(s, s[0])
+            want = (u[:, :4] * (sc / desc.norm_value) ** (p - 1.0)) @ vh[:4, :]
             assert np.array_equal(desc.prefactor, want), (kind, spec)
