@@ -23,8 +23,7 @@ import numpy as np
 from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
 from .errors import InvalidInputError
 from .norms import NormSpec, norm
-from .solvers import (CERT_TOL, GAP_TOL, Objective, coeffs_of_x, multistart_minimize, real_dim,
-                      real_rows, x_of_coeffs)
+from .solvers import CERT_TOL, GAP_TOL, Objective, multistart_minimize
 from .subdiff import descriptor, face_min_norm, subdiff_pk
 
 
@@ -62,11 +61,9 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
     if not subspace.dim:
         raise InvalidInputError("cannot approximate from an empty subspace")
     obj = Objective(a, subspace, spec)
-    extra = []
-    for c in (extra_coeffs or []):
-        extra.append(x_of_coeffs(np.asarray(c), subspace))
+    extra = [subspace.real_coordinates(subspace.combine(c)) for c in (extra_coeffs or [])]
     out = multistart_minimize(obj, starts=starts, iters=iters, seed=seed, extra_starts=extra)
-    coeffs = coeffs_of_x(out.x, subspace)
+    coeffs = subspace.coefficients((out.x @ subspace.rows).reshape(a.shape))
     y = subspace.combine(coeffs)
     residual = a - y
     sigma = np.linalg.svd(residual, compute_uv=False)
@@ -118,8 +115,7 @@ def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, max_atoms=40, see
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
 
     desc = descriptor(r, p, k)
-    face = face_min_norm(desc, subspace.onb, subspace.field, tol=cert_tol,
-                         max_iter=max_atoms)
+    face = face_min_norm(desc, subspace.rows, tol=cert_tol, max_iter=max_atoms)
     pairing = float(np.real(np.vdot(face.g, r)))
     out = CertificateResult(found=face.residual <= cert_tol, f_matrix=face.g,
                             residual_perp=face.residual, weights=face.weights,
@@ -170,7 +166,7 @@ def pin_map(res, subspace, cert):
         p, k = subdiff_pk(res.spec, min(m, n))
         values = np.full(rank, res.value) if k == 1 else np.maximum(
             res.value * tau[:rank] ** (1.0 / (p - 1.0)), res.sigma[k - 1])
-    rows = real_rows(subspace).reshape((-1,) + r.shape)
+    rows = subspace.rows.reshape((-1,) + r.shape)
     cmap = np.concatenate([(rows @ v).reshape(len(rows), -1),
                            (rows.conj().transpose(0, 2, 1) @ u).reshape(len(rows), -1)], axis=1)
     q, s, _ = np.linalg.svd(np.concatenate([cmap.real, cmap.imag], axis=1))
@@ -220,7 +216,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     res = best_approx(a, sub, spec, starts=trials, seed=seed)
     cert = certify_best(a, sub, spec, res)
     pins = pin_map(res, sub, cert)
-    x0 = x_of_coeffs(res.coefficients, sub)
+    x0 = sub.real_coordinates(res.y)
     ends = x0[None]
     free = pins.null.shape[1]  # 0, 1 or 2 real directions
     if free:
@@ -300,14 +296,14 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
         raise InvalidInputError("cannot approximate from an empty subspace")
     spectral = NormSpec.spectral()
     n0 = min(a.shape)
-    x = np.zeros(real_dim(subspace))
+    x = np.zeros(len(subspace.rows))
     to_x = np.eye(x.size)  # current stage coordinates -> x
     cur, sub = a, subspace
     pins = []  # (count, value fixed or None, converged, gap) per stage
     while True:
         res = best_approx(cur, sub, spectral, starts=starts, iters=iters,
                           seed=seed + 101 * len(pins))
-        x = x + to_x @ x_of_coeffs(res.coefficients, sub)
+        x = x + to_x @ sub.real_coordinates(res.y)
         if negligible(res.residual, a):
             # every remaining value is 0, up to round-off
             pins.append((min(cur.shape), 0.0, res.converged, 0.0))
@@ -323,12 +319,12 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
         cur = u_p.conj().T @ res.residual @ v_p
         if not (cur.size and pm.null.size):
             break
-        rows = real_rows(sub).reshape((-1,) + res.residual.shape)
+        rows = sub.rows.reshape((-1,) + res.residual.shape)
         to_x = to_x @ pm.null
         sub = MatrixSubspace(list(u_p.conj().T @ np.tensordot(pm.null.T, rows, axes=1) @ v_p),
                              field="real")
 
-    coeffs = coeffs_of_x(x, subspace)
+    coeffs = subspace.coefficients((x @ subspace.rows).reshape(a.shape))
     y = subspace.combine(coeffs)
     residual = a - y
     sigma = np.linalg.svd(residual, compute_uv=False)
@@ -386,8 +382,7 @@ class PkCheckReport:
     certified: bool
 
 
-def pk_singular_value_check(a, subspace, p, k, trials=10, gap_tol=1e-6,
-                            seed=0, starts=10, iters=120):
+def pk_singular_value_check(a, subspace, p, k, gap_tol=1e-6, seed=0, starts=10, iters=120):
     """Do all best (p, k)-approximations from the subspace share sigma_1..sigma_k?
 
     One solve is certified; every minimizer satisfies the pin equations of
@@ -395,8 +390,7 @@ def pk_singular_value_check(a, subspace, p, k, trials=10, gap_tol=1e-6,
     sigma_1..sigma_k of them all.  applicable: the residual shows a gap
     sigma_k > sigma_{k+1} + gap_tol; max_deviation: the solve's own
     sigma_1..sigma_k against the pinned ones; passed: not applicable, or all
-    k are pinned and within 1e-6 of the solve's.
-    trials is accepted for compatibility; p < 2 raises UnsupportedError.
+    k are pinned and within 1e-6 of the solve's.  p < 2 raises UnsupportedError.
     """
     a = as_matrix(a)
     spec = NormSpec.kyfan(p, k)

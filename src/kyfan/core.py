@@ -134,24 +134,25 @@ def spectrum_blocks(sigma, tol=BLOCK_TOL):
     return SpectrumBlocks(values=np.array(values), multiplicities=np.array(mults, dtype=int), tol=tol)
 
 
-def _inner(x, y, field):
-    # <x, y> = tr(y* x), real part only for real-span subspaces
-    v = np.vdot(y, x)  # vdot conjugates its first argument: sum(conj(y) * x) = tr(y* x)
-    return v.real if field == "real" else v
-
-
 @dataclass
 class MatrixSubspace:
     """A linear subspace of m x n matrices over a declared scalar field.
 
     The user basis is kept for reporting; computations use an orthonormalized
-    basis (modified Gram-Schmidt under the field's trace inner product).
+    basis (two Gram-Schmidt passes under the field's trace inner product),
+    stacked as onb, and its realified rows: one flattened matrix per real
+    coordinate, E_j and, for a complex field, iE_j after it.  The rows are
+    orthonormal under Re tr(X* Y), so x -> sum_i x_i row_i maps real
+    coordinates onto the subspace isometrically.  This is the one place that
+    fixes that layout; the solvers, the face routine and the pin equations
+    all read rows.
     """
 
     basis: list
     field: str = "complex"
     shape: tuple | None = None
-    onb: list = None  # filled in __post_init__
+    onb: np.ndarray = None   # dim x m x n, filled in __post_init__
+    rows: np.ndarray = None  # real dim x (m n), filled in __post_init__
 
     def __post_init__(self):
         if self.field not in ("real", "complex"):
@@ -167,17 +168,19 @@ class MatrixSubspace:
                 raise InvalidInputError("declared shape disagrees with basis")
         elif self.shape is None:
             raise InvalidInputError("empty basis needs an explicit shape")
+        self.shape = tuple(self.shape)
         self._check_independent()
-        self.onb = self._orthonormalize()
+        self._onb_flat = flat = self._orthonormalize()
+        self.onb = flat.reshape((len(flat),) + self.shape)
+        if self.field == "complex":
+            flat = np.stack([flat, 1j * flat], axis=1).reshape(2 * len(flat), flat.shape[1])
+        self.rows = flat
 
     def _check_independent(self):
-        d = len(self.basis)
-        if d == 0:
+        if not self.basis:
             return
-        gram = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                gram[i, j] = _inner(self.basis[i], self.basis[j], "complex")
+        b = np.array(self.basis).reshape(len(self.basis), -1)
+        gram = b.conj() @ b.T  # gram[i, j] = tr(b_i* b_j)
         if self.field == "real":
             # real-span independence: Gram of Re-inner products on the realified space
             gram = gram.real
@@ -187,36 +190,44 @@ class MatrixSubspace:
             raise InvalidInputError("basis is not linearly independent over the %s field" % self.field)
 
     def _orthonormalize(self):
-        onb = []
+        onb = np.zeros((0, int(np.prod(self.shape))), dtype=complex)
         for b in self.basis:
-            v = b.copy()
-            for _ in range(2):  # two MGS passes for orthogonality at machine precision
-                for e in onb:
-                    v = v - _inner(v, e, self.field) * e
+            v = b.ravel()
+            for _ in range(2):  # two passes for orthogonality at machine precision
+                c = onb.conj() @ v
+                v = v - (c.real if self.field == "real" else c) @ onb
             nrm = float(np.linalg.norm(v))
             if nrm <= 1e-12 * np.linalg.norm(b):
                 raise InvalidInputError("basis is numerically dependent")
-            onb.append(v / nrm)
+            onb = np.concatenate([onb, v[None] / nrm])
         return onb
 
     @property
     def dim(self):
         return len(self.onb)
 
+    def _vec(self, x):
+        x = np.asarray(x, dtype=complex)
+        return x.reshape(x.shape[:-2] + (self.rows.shape[1],))
+
     def coefficients(self, x):
-        """Coordinates of the projection of x in the orthonormal basis."""
-        x = as_matrix(x)
-        dt = float if self.field == "real" else complex
-        return np.array([_inner(x, e, self.field) for e in self.onb], dtype=dt)
+        """Coordinates of the projection of x in the orthonormal basis; x may be
+        a stack of matrices."""
+        c = self._vec(x) @ self._onb_flat.conj().T
+        return c.real if self.field == "real" else c
 
     def combine(self, coeffs):
-        """Linear combination of the orthonormal basis."""
-        y = np.zeros(self.shape, dtype=complex)
-        for c, e in zip(coeffs, self.onb):
-            y = y + c * e
-        return y
+        """Linear combination of the orthonormal basis; coeffs may be a stack."""
+        c = np.asarray(coeffs)
+        return (c @ self._onb_flat).reshape(c.shape[:-1] + self.shape)
+
+    def real_coordinates(self, x):
+        """Real coordinates Re tr(row_i* x) of the projection of x onto the
+        subspace, in the layout of rows; x may be a stack of matrices."""
+        return (self._vec(x) @ self.rows.conj().T).real
 
     def project(self, x):
-        """Return (onto, perp) with x = onto + perp, onto in the subspace."""
+        """Return (onto, perp) with x = onto + perp, onto in the subspace; x may
+        be a stack of matrices."""
         onto = self.combine(self.coefficients(x))
-        return onto, as_matrix(x) - onto
+        return onto, np.asarray(x, dtype=complex) - onto

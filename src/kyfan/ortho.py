@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import MatrixSubspace, as_matrix
 from .errors import InvalidInputError
-from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm, norm_of_sigma
+from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
 from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk
 
 
@@ -88,6 +88,7 @@ def inner_range(a, b, p, k, tol=None):
     if desc.at_zero:
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
+    fixed = complex(fixed)
 
     rng_obj = InnerRange(fixed_part=fixed, min_abs=abs(fixed), max_abs=abs(fixed),
                          singleton=desc.singleton, theta_min=float(np.angle(-fixed)),
@@ -161,8 +162,8 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     rng_obj = inner_range(a, b, p, k)
     nb = float(np.linalg.norm(b))
     if rng_obj.min_abs <= tol * nb:
-        onb = [b / nb] if nb > 0.0 else []
-        face = face_min_norm(rng_obj.desc, onb, tol=rng_obj.min_abs / nb if onb else 0.0)
+        span = MatrixSubspace([b / nb] if nb > 0.0 else [], "complex", shape=b.shape)
+        face = face_min_norm(rng_obj.desc, span.rows, tol=rng_obj.min_abs / nb if span.dim else 0.0)
         resid = float(abs(np.vdot(face.g, b)))
         return BjResult(True, rng_obj.min_abs, face.g, resid, None, None, rng_obj)
 
@@ -308,18 +309,14 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     desc = descriptor(a, p, k)
     if desc.at_zero:
         raise InvalidInputError("subspace_certificate needs A != 0")
-    face = face_min_norm(desc, subspace.onb, subspace.field, tol=tol, max_iter=max_iter)
+    face = face_min_norm(desc, subspace.rows, tol=tol, max_iter=max_iter)
 
-    t_list = []
-    for j in desc.full_blocks:
-        lo, hi = desc.blocks.block_range(j)
-        t_list += [np.outer(z, z.conj()) for z in desc.eig_bases[j][:, : hi - lo].T]
+    t_list = [np.outer(z, z.conj()) for z in desc.v_full.T]
     if desc.boundary is not None:
         zb, r = desc.boundary.basis, desc.boundary.required
         t_list += [zb @ face.q @ zb.conj().T / r] * r
-    cert = desc.prefactor @ sum(t_list)
-    onto, _ = subspace.project(cert) if subspace.dim else (np.zeros_like(cert), cert)
-    resid_perp = float(np.linalg.norm(onto))
+    cert = face.g  # prefactor sum(t_list), both face_point(desc, face.q)
+    resid_perp = float(np.linalg.norm(subspace.project(cert)[0]))
     ata = a.conj().T @ a
     sig2 = [desc.blocks.values[desc.blocks.block_of(i)] ** 2 for i in range(1, k + 1)]
     resid_eig = max(float(np.linalg.norm(ata @ t - s2 * t)) for t, s2 in zip(t_list, sig2))
@@ -338,8 +335,8 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):
     """
     a = as_matrix(a)
     spec = NormSpec.kyfan(p, k)
-    f_sigma = np.linalg.svd(a, compute_uv=False)
-    na = norm_of_sigma(f_sigma, spec)
+    desc = descriptor(a, p, k)  # one SVD serves sigma, ||a|| and the prefactor
+    f_sigma, na = desc.sigma, desc.norm_value
     ata = a.conj().T @ a
 
     report = {}
@@ -357,10 +354,8 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, samples=20, seed=0):
                     for t, s in zip(cert.T_list, f_sigma[:k]))
     report["residual_eig"] = resid_eig
 
-    desc = descriptor(a, p, k)
     cmat = desc.prefactor @ sum(cert.T_list)
-    onto, _ = subspace.project(cmat) if subspace.dim else (np.zeros_like(cmat), cmat)
-    resid_perp = float(np.linalg.norm(onto))
+    resid_perp = float(np.linalg.norm(subspace.project(cmat)[0]))
     report["residual_perp"] = resid_perp
 
     bound = dual_norm(cmat, spec)

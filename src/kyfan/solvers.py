@@ -1,9 +1,9 @@
 """Shared minimization machinery for the approximation routines.
 
 The objective c -> ||A - sum c_j E_j||_spec is convex on the real coordinate
-vector x of c.  Objective keeps one row per real coordinate (E_j, and iE_j
-after it for a complex field), so a residual and a pull-back are one matrix
-product each, on one point or on a stack of points.  Each point costs one SVD
+vector x of c, in the layout of the subspace's realified rows
+(MatrixSubspace.rows), so a residual and a pull-back are one matrix product
+each, on one point or on a stack of points.  Each point costs one SVD
 of the residual R = U diag(sigma) V*: it gives the value and the closed-form
 extreme subgradient U_k diag((sigma_i/||R||)^(p-1)) V_k*, which has dual norm 1
 and pairing ||R|| for every p >= 1 (Watson 1992).
@@ -52,37 +52,6 @@ def closes(f, lower):
     return f - lower <= GAP_TOL * (1.0 + f)
 
 
-def real_dim(subspace):
-    return subspace.dim * (2 if subspace.field == "complex" else 1)
-
-
-def real_rows(subspace):
-    """One row per real coordinate: the flattened matrix x_i multiplies (E_j, and
-    iE_j after it for a complex field), orthonormal under Re tr(X* Y)."""
-    size = int(np.prod(subspace.shape))
-    onb = np.asarray(subspace.onb, dtype=complex).reshape(subspace.dim, size)
-    if subspace.field == "complex":
-        onb = np.stack([onb, 1j * onb], axis=1).reshape(2 * subspace.dim, size)
-    return onb
-
-
-def coeffs_of_x(x, subspace):
-    x = np.asarray(x, dtype=float)
-    if subspace.field == "complex":
-        return x[..., 0::2] + 1j * x[..., 1::2]
-    return x.copy()
-
-
-def x_of_coeffs(c, subspace):
-    c = np.asarray(c)
-    if subspace.field == "complex":
-        x = np.empty(2 * c.size)
-        x[0::2] = np.real(c)
-        x[1::2] = np.imag(c)
-        return x
-    return np.real(c).astype(float)
-
-
 def _hermitian_basis(t):
     """Orthonormal basis of the t x t Hermitian matrices under Re tr(X Y)."""
     out = []
@@ -111,9 +80,9 @@ class Objective:
         # p = None means the norm reduces to sigma_1, whose extreme subgradients
         # are those of the (2, 1) norm
         self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
-        self.rows = real_rows(subspace)
+        self.rows = subspace.rows
         self._rows_h = self.rows.conj().T
-        self.a_x = (self.rows.conj() @ self.a.ravel()).real  # coordinates of P_S A
+        self.a_x = subspace.real_coordinates(self.a)  # coordinates of P_S A
         self.evaluations = 0  # residuals formed: values, subgradients, face bounds, Newton steps
         self.sigma = None  # singular values of value_and_grad's last call, for polish's tie test
 
@@ -175,8 +144,8 @@ class Objective:
             return low, "hoelder"
         desc = descriptor(self.residual(x), self.p_eff, self.k_eff)
         tol = self.face_tol(f)
-        face = face_min_norm(desc, self.subspace.onb, self.subspace.field, tol=tol, max_iter=40)
-        gx = (self.rows.conj() @ face.g.ravel()).real  # coordinates of P_S G
+        face = face_min_norm(desc, self.rows, tol=tol, max_iter=40)
+        gx = self.subspace.real_coordinates(face.g)  # coordinates of P_S G
         dual = dual_norm(face.g - (gx @ self.rows).reshape(self.a.shape), self.spec)
         if face.residual <= tol and dual > 0.0:
             face_low = float((np.vdot(face.g, self.a).real - gx @ self.a_x) / dual)
@@ -427,8 +396,7 @@ class MultiStartOutcome:
 
 def default_starts(obj, starts, seed):
     """Deterministic start list: zero, the Frobenius projection, seeded Gaussians."""
-    d = real_dim(obj.subspace)
-    ls = x_of_coeffs(obj.subspace.coefficients(obj.a), obj.subspace) if obj.subspace.dim else np.zeros(0)
+    d, ls = len(obj.rows), obj.a_x
     out = [np.zeros(d), ls]
     rng = np.random.default_rng(seed)
     scale = 1.0 + np.linalg.norm(ls)

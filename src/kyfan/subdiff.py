@@ -13,16 +13,21 @@ Re tr(G* A) = ||A||_(p,k).
 At A = 0 the subdifferential is the whole dual unit ball; descriptors carry a
 distinguished variant flag for that case.
 
-Every certificate asks whether this face holds a G with P_S G = 0 for some
-subspace S: the face is prefactor (fixed projector + Z Q Z*) with Q in the
-fantope {0 <= Q <= I, tr Q = r} on the boundary block.  face_min_norm answers
-it for BJ witnesses, subspace certificates and best-approximation
-certificates alike.
+Every point of the face is G_fixed + prefactor Z Q Z* (face_point): G_fixed =
+prefactor V_f V_f* is the part all share (V_f the right singular vectors of the
+full blocks), and Q lies in the fantope {0 <= Q <= I, tr Q = r} on the
+boundary block Z, a rank-r projector at an extreme point.  Every question
+asked of the face is a linear functional over it, paired with a matrix B
+through pairing_range_parts: tr(G* B) = tr(G_fixed* B) + tr(Q Z* prefactor* B Z).
+dir_derivative maximizes it, the BJ scalar set T is its range, and
+face_min_norm asks whether the face holds a G with P_S G = 0 for a subspace S,
+pairing G with S's realified rows, for BJ witnesses, subspace certificates and
+best-approximation certificates alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,28 +52,16 @@ class SubdiffDescriptor:
     p: float
     k: int
     norm_value: float
+    sigma: np.ndarray                 # singular values, clamped (core.CLAMP_REL)
     prefactor: np.ndarray | None      # (1/||A||^(p-1)) A (A*A)^((p-2)/2); None at A = 0
     blocks: SpectrumBlocks | None
-    full_blocks: list                 # block indices fully inside the top k
     boundary: BoundaryBlock | None
-    fixed_projector: np.ndarray | None  # sum of full-block right projectors
+    g_fixed: np.ndarray | None        # prefactor V_f V_f*, shared by every extreme point
+    v_full: np.ndarray | None         # V_f: right singular vectors of the blocks inside the top k
     singleton: bool
     rank_deficient: bool
     at_zero: bool = False
     shape: tuple | None = None
-    eig_bases: list = field(default_factory=list, repr=False)  # per-block right bases
-
-
-def eigenspace_bases(sigma_blocks, right_full, n0):
-    """Right-singular-vector basis per block; the zero block gets the full null space."""
-    bases = []
-    for j in range(len(sigma_blocks.values)):
-        lo, hi = sigma_blocks.block_range(j)
-        cols = right_full[:, lo:hi]
-        if sigma_blocks.values[j] == 0.0:
-            cols = np.concatenate([cols, right_full[:, n0:]], axis=1)
-        bases.append(cols)
-    return bases
 
 
 def subdiff_pk(spec, n0):
@@ -101,8 +94,8 @@ def descriptor(a, p, k, tol=BLOCK_TOL):
     nrm = float(_sigma_norm(s_raw, p_norm, k_norm))
     if nrm == 0.0:
         return SubdiffDescriptor(
-            p=p, k=k, norm_value=0.0, prefactor=None, blocks=None, full_blocks=[],
-            boundary=None, fixed_projector=None, singleton=False,
+            p=p, k=k, norm_value=0.0, sigma=s_raw, prefactor=None, blocks=None,
+            boundary=None, g_fixed=None, v_full=None, singleton=False,
             rank_deficient=True, at_zero=True, shape=a.shape)
 
     sigma = _clamp_small(s_raw, s_raw[0])
@@ -112,34 +105,36 @@ def descriptor(a, p, k, tol=BLOCK_TOL):
     # prefactor = W diag((sigma_i/||A||)^(p-1)) Z*, the extreme subgradient at k = n0
     prefactor = extreme_subgradient(u, sigma, vh, nrm, p, n0)
 
-    bases = eigenspace_bases(blocks, right_full, n0)
-    full_blocks, boundary = [], None
-    fixed = np.zeros((a.shape[1], a.shape[1]), dtype=complex)
-    for j in range(len(blocks.values)):
-        lo, hi = blocks.block_range(j)
-        if hi <= k:
-            full_blocks.append(j)
-            zb = right_full[:, lo:hi]  # the projector never needs extra null columns
-            fixed += zb @ zb.conj().T
-        elif lo < k:
-            boundary = BoundaryBlock(
-                block_index=j, dim=bases[j].shape[1], required=k - lo,
-                basis=bases[j], value=float(blocks.values[j]))
-            break
-        else:
-            break
-
-    rank_def = bool(sigma[k - 1] == 0.0)
-    singleton = boundary is None
+    # the j blocks ending at or before k are full; a block straddling k is the boundary
+    ends = blocks.boundaries
+    j = int(np.searchsorted(ends, k, side="right"))
+    lo = int(ends[j - 1]) if j else 0
+    v_full = right_full[:, :lo]
+    boundary = None
+    if lo < k:
+        # the zero block's eigenspace includes the null columns beyond n0
+        basis = right_full[:, lo:] if blocks.values[j] == 0.0 else right_full[:, lo:ends[j]]
+        boundary = BoundaryBlock(block_index=j, dim=basis.shape[1], required=k - lo,
+                                 basis=basis, value=float(blocks.values[j]))
     return SubdiffDescriptor(
-        p=p, k=k, norm_value=nrm, prefactor=prefactor, blocks=blocks,
-        full_blocks=full_blocks, boundary=boundary, fixed_projector=fixed,
-        singleton=singleton, rank_deficient=rank_def, at_zero=False,
-        shape=a.shape, eig_bases=bases)
+        p=p, k=k, norm_value=nrm, sigma=sigma, prefactor=prefactor, blocks=blocks,
+        boundary=boundary, g_fixed=prefactor @ (v_full @ v_full.conj().T), v_full=v_full,
+        singleton=boundary is None, rank_deficient=bool(sigma[k - 1] == 0.0),
+        at_zero=False, shape=a.shape)
+
+
+def face_point(desc, q):
+    """G_fixed + prefactor Z Q Z*, the point of the face at the fantope element Q
+    (d x d) on the boundary block Z; a singleton face is G_fixed alone, and
+    takes Q = None."""
+    if desc.boundary is None:
+        return desc.g_fixed.copy()
+    zb = desc.boundary.basis
+    return desc.g_fixed + desc.prefactor @ zb @ q @ zb.conj().T
 
 
 def sample_extreme(desc, seed=0, count=1):
-    """Sample extreme points: prefactor @ (fixed projector + random rank-r boundary projector).
+    """Sample extreme points: face_point at Q = C C* for a random d x r isometry C.
 
     Deterministic per seed.  Returns a single matrix for count=1, else a list.
     """
@@ -149,14 +144,12 @@ def sample_extreme(desc, seed=0, count=1):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        proj = desc.fixed_projector.copy()
+        q = None
         if desc.boundary is not None:
             d, r = desc.boundary.dim, desc.boundary.required
-            g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-            q, _ = np.linalg.qr(g)
-            y = desc.boundary.basis @ q
-            proj = proj + y @ y.conj().T
-        out.append(desc.prefactor @ proj)
+            c, _ = np.linalg.qr(rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))
+            q = c @ c.conj().T
+        out.append(face_point(desc, q))
     return out[0] if count == 1 else out
 
 
@@ -164,11 +157,10 @@ def canonical_extreme(desc):
     """The deterministic extreme point using the leading boundary eigenvectors."""
     if desc.at_zero:
         raise InvalidInputError("no canonical extreme point at A = 0")
-    proj = desc.fixed_projector.copy()
-    if desc.boundary is not None:
-        y = desc.boundary.basis[:, : desc.boundary.required]
-        proj = proj + y @ y.conj().T
-    return desc.prefactor @ proj
+    if desc.boundary is None:
+        return face_point(desc, None)
+    c = np.eye(desc.boundary.dim, desc.boundary.required)
+    return face_point(desc, c @ c.T)
 
 
 def membership(a, p, k, g, tol=1e-8):
@@ -188,26 +180,27 @@ def membership(a, p, k, g, tol=1e-8):
 
 
 def pairing_range_parts(desc, b):
-    """Split tr(G* B) over the extreme points into fixed scalar + boundary compression.
+    """Split tr(G* B) over the face into a fixed scalar and a boundary compression.
 
-    Returns (fixed, mb) with mb = Z_b* (prefactor* B) Z_b or None when the
-    descriptor is a singleton; the value set is {fixed + tr(C* mb C) : C isometry}.
+    Returns (fixed, mb) with fixed = tr(G_fixed* B) and mb = Z* (prefactor* B) Z,
+    or None when the descriptor is a singleton; tr(G* B) = fixed + tr(Q mb) at
+    face_point(desc, Q), so the extreme points give {fixed + tr(C* mb C) : C
+    isometry}.  B may be a stack of matrices; fixed and mb are stacked then.
     """
-    b = as_matrix(b)
-    fixed_g = desc.prefactor @ desc.fixed_projector
-    fixed = complex(np.trace(fixed_g.conj().T @ b))
+    b = np.asarray(b, dtype=complex)
+    fixed = b.reshape(b.shape[:-2] + (desc.g_fixed.size,)) @ desc.g_fixed.conj().ravel()
     mb = None
     if desc.boundary is not None:
-        m = desc.prefactor.conj().T @ b
         zb = desc.boundary.basis
-        mb = zb.conj().T @ m @ zb
+        mb = zb.conj().T @ (desc.prefactor.conj().T @ b) @ zb
     return fixed, mb
 
 
 def top_eigsum(h, r):
-    """Sum of the r largest eigenvalues of a Hermitian matrix."""
+    """Sum of the r largest eigenvalues of the Hermitian part of h, in the
+    order InnerRange.support sums them."""
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    return float(np.sum(w[::-1][:r]))
+    return float(np.sum(w[w.size - r:]))
 
 
 def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
@@ -223,13 +216,11 @@ def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
     desc = descriptor(a, p, k, tol=tol)
     if desc.at_zero:
         return norm(x, NormSpec.kyfan(p, k))
-    val = float(np.real(np.trace((desc.prefactor @ desc.fixed_projector).conj().T @ x)))
-    if desc.boundary is not None:
-        # max tr(H Q) over rank-r projectors Q in the block = top-r eigensum of
-        # the compression of H = (prefactor* x + x* prefactor)/2
-        h = (desc.prefactor.conj().T @ x + x.conj().T @ desc.prefactor) / 2.0
-        zb = desc.boundary.basis
-        val += top_eigsum(zb.conj().T @ h @ zb, desc.boundary.required)
+    fixed, mb = pairing_range_parts(desc, x)
+    val = float(fixed.real)
+    if mb is not None:
+        # max Re tr(Q mb) over rank-r projectors Q = top-r eigensum of mb's Hermitian part
+        val += top_eigsum(mb, desc.boundary.required)
     return val
 
 
@@ -237,7 +228,7 @@ def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
 class FaceMinimum:
     """The subgradient in the face nearest to the complement of a subspace S."""
 
-    g: np.ndarray           # G = prefactor (fixed projector + Z q Z*)
+    g: np.ndarray           # G = face_point(desc, q)
     q: np.ndarray           # boundary fantope element, d x d (0 x 0 on a singleton face)
     weights: np.ndarray     # convex weights of the active atoms
     atoms: list             # d x r isometries C_j with q = sum_j w_j C_j C_j*
@@ -277,52 +268,44 @@ def _corral_weights(v, w):
         active &= w > 0.0
 
 
-def face_min_norm(desc, onb, field="complex", tol=0.0, max_iter=1000):
-    """Minimize ||P_S G||_F over the face {prefactor (fixed + Z Q Z*) : Q in the fantope}.
+def face_min_norm(desc, rows, tol=0.0, max_iter=1000):
+    """Minimize ||P_S G||_F over the face {face_point(desc, Q) : Q in the fantope}.
 
-    S is spanned by the orthonormal matrices onb over the field ("real" or
-    "complex"); the fantope is {0 <= Q <= I, tr Q = r} on the boundary block
-    (Overton & Womersley 1992).  Fully corrective conditional gradient from the
+    rows are the realified orthonormal rows of S (MatrixSubspace.rows), so P_S G
+    has the real coordinates x_s = Re tr(row_s* G), which pairing_range_parts
+    gives as Re(fixed_s + tr(Q mb_s)) for the whole stack of rows; the
+    fantope is {0 <= Q <= I, tr Q = r} on the boundary block (Overton &
+    Womersley 1992).  Fully corrective conditional gradient from the
     canonical extreme point: the linear oracle is the bottom-r eigenvectors of
-    the d x d compressed pairing, and each step moves to the exact min-norm
-    point of the active atoms (Wolfe), of which at most dim_R(S) + 1 stay
-    (Caratheodory).  Stops once the residual is <= tol, once the lower bound
-    exceeds tol (then no G in the face reaches it), once the two meet, or
-    after max_iter oracle calls.
+    sum_s x_s mb_s, and each step moves to the exact min-norm point of the
+    active atoms (Wolfe), of which at most dim_R(S) + 1 stay (Caratheodory).
+    Stops once the residual is <= tol, once the lower bound exceeds tol (then
+    no G in the face reaches it), once the two meet, or after max_iter oracle
+    calls.
     """
     if desc.at_zero:
         raise InvalidInputError("the face is not enumerated at A = 0")
-    g_fixed = desc.prefactor @ desc.fixed_projector
-    e = np.array(onb, dtype=complex).reshape((len(onb),) + g_fixed.shape)
-    real = field == "real"
-    c0 = np.einsum("smn,mn->s", e.conj(), g_fixed)  # tr(E_s* G)
+    fixed, mb = pairing_range_parts(desc, rows.reshape((-1,) + desc.shape))
+    c0 = fixed.real
+    if mb is None:
+        res = float(np.linalg.norm(c0))
+        return FaceMinimum(face_point(desc, None), np.zeros((0, 0)), np.ones(1),
+                           [np.zeros((0, 0))], res, res, 0)
 
-    def coords(c):
-        return c.real if real else np.concatenate([c.real, c.imag])
-
-    if desc.boundary is None:
-        x = coords(c0)
-        res = float(np.linalg.norm(x))
-        return FaceMinimum(g_fixed, np.zeros((0, 0)), np.ones(1), [np.zeros((0, 0))],
-                           res, res, 0)
-
-    zb, r = desc.boundary.basis, desc.boundary.required
-    pz = desc.prefactor @ zb
-    comp = np.conj(e @ zb).transpose(0, 2, 1) @ pz  # Z* E_s* prefactor Z, one per E_s
+    r = desc.boundary.required
 
     def atom(c):
-        return coords(c0 + np.einsum("ia,sij,ja->s", c.conj(), comp, c))
+        return c0 + np.einsum("ia,sij,ja->s", c.conj(), mb, c).real
 
     def oracle(x):
-        cx = x if real else x[: len(onb)] + 1j * x[len(onb):]
-        h = np.tensordot(cx.conj(), comp, axes=1)
+        h = np.tensordot(x, mb, axes=1)
         return np.linalg.eigh((h + h.conj().T) / 2.0)[1][:, :r]
 
-    atoms = [np.eye(zb.shape[1], r, dtype=complex)]
+    atoms = [np.eye(desc.boundary.dim, r, dtype=complex)]
     v = atom(atoms[0])[:, None]
     w = np.ones(1)
     x = v[:, 0]
-    # round-off floor of a coordinate tr(E_s* G): ||G||_F <= ||prefactor||_F
+    # round-off floor of a coordinate Re tr(row_s* G): ||G||_F <= ||prefactor||_F
     floor = 1e-14 * np.linalg.norm(desc.prefactor)
     lower, it = 0.0, 0
     while it < max_iter:
@@ -347,5 +330,4 @@ def face_min_norm(desc, onb, field="complex", tol=0.0, max_iter=1000):
         atoms = [(atoms + [c])[i] for i in keep]
         v, w, x = v_new[:, keep], w_new[keep], x_new
     q = sum(wi * (c @ c.conj().T) for wi, c in zip(w, atoms))
-    g = g_fixed + pz @ q @ zb.conj().T
-    return FaceMinimum(g, q, w, atoms, float(np.linalg.norm(x)), lower, it)
+    return FaceMinimum(face_point(desc, q), q, w, atoms, float(np.linalg.norm(x)), lower, it)

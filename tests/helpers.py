@@ -85,11 +85,13 @@ def golden_min(fun, lo, hi, iters=60):
 def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
     """min(0, min_j ||a + b_j|| - ||a||) over `kyfan.verify_certificate`'s
     sampled directions b_j, drawn in its order with one norm call each: the
-    reference for its single stacked call."""
+    reference for its single stacked call.  ||a|| is read where it reads it,
+    off the descriptor's SVD."""
     from kyfan.norms import NormSpec, norm
+    from kyfan.subdiff import descriptor
 
     spec = NormSpec.kyfan(p, k)
-    na = norm(a, spec)
+    na = descriptor(a, p, k).norm_value
     rng = np.random.default_rng(seed)
     gap = 0.0
     for _ in range(samples if subspace.dim else 0):
@@ -103,6 +105,27 @@ def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
             bdir = bdir * (rng.uniform(0.1, 2.0) * max(na, 1.0) / nrm_b)
         gap = min(gap, norm(a + bdir, spec) - na)
     return gap
+
+
+def _inner(x, y, field):
+    # <x, y> = tr(y* x), real part only for real-span subspaces
+    v = np.vdot(y, x)  # vdot conjugates its first argument: sum(conj(y) * x) = tr(y* x)
+    return v.real if field == "real" else v
+
+
+def loop_subspace_maps(subspace, x, coeffs):
+    """`kyfan.core.MatrixSubspace`'s maps, one inner product per basis element:
+    the reference for its one-product forms.  Returns (coefficients of x,
+    combine(coeffs), real coordinates of x) for one matrix x; the real
+    coordinates are Re<x, E_j> and, for a complex field, Re<x, iE_j> after it."""
+    dt = float if subspace.field == "real" else complex
+    c = np.array([_inner(x, e, subspace.field) for e in subspace.onb], dtype=dt)
+    y = np.zeros(subspace.shape, dtype=complex)
+    for cj, e in zip(coeffs, subspace.onb):
+        y = y + cj * e
+    units = (1.0,) if subspace.field == "real" else (1.0, 1j)
+    xr = np.array([_inner(x, u * e, "real") for e in subspace.onb for u in units])
+    return c, y, xr
 
 
 def project_subspace(x, subspace):
@@ -214,20 +237,21 @@ def repetition_probe(a, x, p, k, trials=12, seed=0):
     """
     from kyfan.core import MatrixSubspace
     from kyfan.norms import NormSpec
-    from kyfan.solvers import Objective, coeffs_of_x, polish, polyak_descent, x_of_coeffs
+    from kyfan.solvers import Objective, polish, polyak_descent
 
     a, x = as_matrix(a), as_matrix(x)
     sub = MatrixSubspace([x], field="complex")
     obj = Objective(a, sub, NormSpec.kyfan(p, k))
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.abs(sub.coefficients(a)[0]))
-    starts = [np.zeros(2), x_of_coeffs(sub.coefficients(a), sub)]
+    starts = [np.zeros(2), sub.real_coordinates(a)]
     while len(starts) < trials:
         starts.append(scale * rng.standard_normal(2))
     starts, _ = polyak_descent(obj.value_and_grad, np.array(starts), iters=120)
     ends = [polish(obj, x1)[:2] for x1 in starts]
     best = min(f for _, f in ends)
-    keep = [coeffs_of_x(xv, sub)[0] for xv, f in ends if f <= best + 1e-8 * (1.0 + abs(best))]
+    keep = [sub.coefficients((xv @ sub.rows).reshape(a.shape))[0]
+            for xv, f in ends if f <= best + 1e-8 * (1.0 + abs(best))]
     spread = max(abs(c1 - c2) for c1 in keep for c2 in keep)
     return float(spread), float(best)
 

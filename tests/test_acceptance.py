@@ -302,8 +302,7 @@ def test_criterion_8_residual_singular_values(report):
         sub = MatrixSubspace(basis, field="complex")
         p = [2.0, 3.0][attempts % 2]
         k = 1 + attempts % 2
-        rep = pk_singular_value_check(a, sub, p, k, trials=10, gap_tol=0.1,
-                                      seed=attempts, starts=6)
+        rep = pk_singular_value_check(a, sub, p, k, gap_tol=0.1, seed=attempts, starts=6)
         if not rep.applicable:
             continue  # residual gap sigma_k - sigma_{k+1} <= 0.1: not in scope
         devs.append(rep.max_deviation)

@@ -303,7 +303,7 @@ def test_probe_and_pk_check_solve_once(monkeypatch):
     monkeypatch.setattr(approx, "best_approx", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
     a, x = counterexample_instance()
     assert unique_1d_probe(a, x, p=3, k=2, seed=0).spread == 0.0
-    rep = pk_singular_value_check(a, span_of(x), p=3, k=2, trials=10, seed=0)
+    rep = pk_singular_value_check(a, span_of(x), p=3, k=2, seed=0)
     assert rep.passed and rep.certified and rep.pinned.size == 2
     assert len(calls) == 2
 
@@ -467,7 +467,7 @@ def test_lex_compare_length_mismatch():
 
 def test_pk_check_counterexample():
     a, x = counterexample_instance()
-    rep = pk_singular_value_check(a, span_of(x), p=4, k=2, trials=6, seed=0)
+    rep = pk_singular_value_check(a, span_of(x), p=4, k=2, seed=0)
     assert rep.applicable and rep.passed and rep.certified
     assert rep.max_deviation <= 1e-7
     assert np.max(np.abs(rep.pinned - rep.sigma[:2])) <= 1e-7
@@ -485,7 +485,7 @@ def test_pk_check_gap_unmet_not_applicable():
     e12 = np.zeros((3, 3))
     e12[0, 1] = 1.0
     rep = pk_singular_value_check(np.eye(3), MatrixSubspace([e12], field="complex"),
-                                  p=2, k=2, trials=4, seed=0)
+                                  p=2, k=2, seed=0)
     assert not rep.applicable
     assert rep.passed
 

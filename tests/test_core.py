@@ -5,7 +5,8 @@ from kyfan.core import MatrixSubspace, as_matrix, negligible, spectrum_blocks, s
 from kyfan.errors import InvalidInputError
 
 from conftest import rand_complex
-from helpers import full_right_vectors, herm_eig, project_subspace, psd_power, reconstruct
+from helpers import (full_right_vectors, herm_eig, loop_subspace_maps, project_subspace, psd_power,
+                     reconstruct)
 
 
 def test_svd_diagonal_sorted():
@@ -202,6 +203,40 @@ def test_subspace_onb_is_orthonormal(rng):
             got = np.vdot(f, e)
             want = 1.0 if i == j else 0.0
             assert abs(got - want) <= 1e-12, (i, j)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_subspace_maps_match_the_per_element_loop(rng, field, dim):
+    # coefficients, combine, project and real_coordinates are one matrix
+    # product each, on one matrix or a stack, against one inner product per element
+    sub = MatrixSubspace([rand_complex(rng, 3, 4) for _ in range(dim)], field=field, shape=(3, 4))
+    xs = np.array([rand_complex(rng, 3, 4) for _ in range(6)]).reshape(2, 3, 3, 4)
+    cs = rng.standard_normal((2, 3, dim)) + (1j * rng.standard_normal((2, 3, dim))
+                                             if field == "complex" else 0.0)
+    got_c, got_y, got_x = sub.coefficients(xs), sub.combine(cs), sub.real_coordinates(xs)
+    onto, perp = sub.project(xs)
+    assert got_c.shape == (2, 3, dim) and got_y.shape == (2, 3, 3, 4)
+    assert got_x.shape == (2, 3, len(sub.rows)) == (2, 3, dim * (1 if field == "real" else 2))
+    assert got_c.dtype == (float if field == "real" else complex)
+    for i in range(2):
+        for j in range(3):
+            c, y, xr = loop_subspace_maps(sub, xs[i, j], cs[i, j])
+            c_of_x, onto_ref, _ = loop_subspace_maps(sub, xs[i, j], c)
+            assert np.max(np.abs(got_c[i, j] - c), initial=0.0) <= 1e-14
+            assert np.max(np.abs(got_y[i, j] - y)) <= 1e-14
+            assert np.max(np.abs(got_x[i, j] - xr), initial=0.0) <= 1e-14
+            assert np.max(np.abs(onto[i, j] - onto_ref)) <= 1e-14
+            assert np.max(np.abs(perp[i, j] - (xs[i, j] - onto_ref))) <= 1e-14
+            # and on one matrix
+            assert np.max(np.abs(sub.coefficients(xs[i, j]) - c), initial=0.0) <= 1e-14
+            assert np.max(np.abs(sub.real_coordinates(xs[i, j]) - xr), initial=0.0) <= 1e-14
+            assert np.max(np.abs(sub.combine(cs[i, j]) - y)) <= 1e-14
+    # x -> x @ rows is an isometry onto the subspace and inverts real_coordinates
+    x = got_x[0, 0]
+    y = (x @ sub.rows).reshape(sub.shape)
+    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-14
+    assert np.max(np.abs(sub.real_coordinates(y) - x), initial=0.0) <= 1e-14
 
 
 def test_subspace_rejects_dependent_and_mixed_shapes():

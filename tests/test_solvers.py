@@ -16,8 +16,7 @@ from kyfan import solvers
 from kyfan.approx import best_approx, certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.norms import NormSpec, _sigma_norm, dual_norm, norm
-from kyfan.solvers import (CERT_TOL, GAP_TOL, Objective, closes, coeffs_of_x, polish,
-                           polyak_descent, x_of_coeffs)
+from kyfan.solvers import CERT_TOL, GAP_TOL, Objective, closes, polish, polyak_descent
 from kyfan.subdiff import canonical_extreme, descriptor
 
 from conftest import rand_complex, rand_with_sigma
@@ -47,7 +46,7 @@ def instance(rng, sigma, field, m=4, n=4, dim=2):
     r = rand_complex(rng, m, n) if sigma is None else rand_with_sigma(rng, sigma, m, n)
     sub = MatrixSubspace([rand_complex(rng, m, n) for _ in range(dim)], field=field)
     c = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if field == "complex" else 0)
-    return r + sub.combine(c), sub, x_of_coeffs(c, sub)
+    return r + sub.combine(c), sub, sub.real_coordinates(sub.combine(c))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -133,7 +132,7 @@ def in_subspace_instance(rng, field, m=3, n=4):
     e00[0, 0] = e12[1, 2] = 1.0
     sub = MatrixSubspace([e00, e12, rand_complex(rng, m, n)], field=field)
     c0 = np.array([2.0, -3.0, 0.0])
-    x0 = x_of_coeffs(c0, sub)
+    x0 = sub.real_coordinates(sub.combine(c0))
     xs = 2.0 * rng.standard_normal((5, x0.size))
     return sub.combine(c0), sub, x0, xs
 
@@ -284,7 +283,7 @@ def test_lower_bound_never_exceeds_the_minimum(rng, field):
         for a, sub in cases + [tied]:
             obj = Objective(a, sub, spec)
             res = best_approx(a, sub, spec, starts=6, seed=1)
-            best = x_of_coeffs(res.coefficients, sub)
+            best = sub.real_coordinates(res.y)
             d = best.size
             points = [best] + [best + t * rng.standard_normal(d) for t in (1e-9, 1e-7, 1e-6, 1e-3)]
             points += [obj.a_x + t * rng.standard_normal(d) for t in (0.01, 0.1, 1.0, 3.0, 10.0)]
@@ -377,11 +376,11 @@ def test_face_bound_closes_only_where_certify_best_certifies():
         c = (d.max() + d.min()) / 2.0
         for delta in (1e-8, 3e-8, 1e-7):
             for offset in (delta, 1j * delta):
-                x = x_of_coeffs(np.array([(c + offset) * np.sqrt(3.0)]), sub)
+                x = sub.real_coordinates(sub.combine([(c + offset) * np.sqrt(3.0)]))
                 f, g = obj.value_and_grad(x)
                 if closes(f, obj.lower_bound(x, f, g)[0]):
                     closed += 1
-                    y = sub.combine(coeffs_of_x(x, sub))
+                    y = (x @ sub.rows).reshape(a.shape)
                     assert certify_best(a, sub, spec, y).found, (seed, offset)
     assert closed >= 40
 
@@ -392,7 +391,7 @@ def test_kink_newton_reaches_the_tied_optimum(rng):
     a, sub, d = hermitian_vs_identity(rng)
     obj = Objective(a, sub, NormSpec.spectral())
     c = (d.max() + d.min()) / 2.0
-    x0 = x_of_coeffs(np.array([(c + 1e-6 + 1e-6j) * np.sqrt(3.0)]), sub)
+    x0 = sub.real_coordinates(sub.combine([(c + 1e-6 + 1e-6j) * np.sqrt(3.0)]))
     x, f, bracket = solvers.kink_newton(obj, x0, obj.value(x0))
     assert abs(f - (d.max() - d.min()) / 2.0) <= 1e-12
     assert bracket is not None and bracket[1] == "face" and closes(f, bracket[0])
@@ -469,7 +468,7 @@ def test_polish_stops_at_the_first_certifiable_bracket(rng, monkeypatch):
     assert res.trace["iterations"] == 0 and res.trace["bound"] == "hoelder"
     assert len(calls) <= 21
     obj = Objective(a, sub, spec)
-    x = x_of_coeffs(res.coefficients, sub)
+    x = sub.real_coordinates(res.y)
     f, g = obj.value_and_grad(x)
     assert closes(f, obj.hoelder(x, f, g)) and np.linalg.norm(g) <= min(obj.face_tol(f), CERT_TOL)
     assert certify_best(a, sub, spec, res).found

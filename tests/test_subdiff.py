@@ -5,6 +5,7 @@ from kyfan.core import MatrixSubspace, _clamp_small
 
 from kyfan.errors import InvalidInputError, UnsupportedError
 from kyfan.norms import NormSpec, dual_norm, extreme_subgradient, norm, norm_of_sigma
+from kyfan.ortho import inner_range
 from kyfan.subdiff import (
     canonical_extreme,
     descriptor,
@@ -16,7 +17,7 @@ from kyfan.subdiff import (
     top_eigsum,
 )
 
-from conftest import fd_derivative, rand_complex, rand_with_sigma, tied_probe
+from conftest import fd_derivative, orthogonal_to, rand_complex, rand_with_sigma, tied_probe
 from helpers import trace_power_gradient
 
 
@@ -295,7 +296,7 @@ def test_face_min_norm_bounds_and_atom_cap(rng):
                 c = c - ((ip.real if field == "real" else ip) / np.vdot(g0, g0).real) * g0
             basis.append(c)
         sub = MatrixSubspace(basis, field=field)
-        face = face_min_norm(descriptor(a, p, 2), sub.onb, field, tol=1e-9, max_iter=1000)
+        face = face_min_norm(descriptor(a, p, 2), sub.rows, tol=1e-9, max_iter=1000)
         assert membership(a, p, 2, face.g), t
         assert abs(face.residual - np.linalg.norm(sub.project(face.g)[0])) <= 1e-12, t
         assert 0.0 <= face.lower <= face.residual + 1e-12, t
@@ -308,6 +309,39 @@ def test_face_min_norm_bounds_and_atom_cap(rng):
         else:
             assert face.lower > 1e-9, t  # a random subspace: proved infeasible
     assert found == 18
+
+
+def test_dir_derivative_is_the_support_at_zero(rng):
+    # both pair the face with x through pairing_range_parts and sum the same
+    # eigenvalues in the same order: equal to the last bit
+    # (sigma, k): generic, then boundary blocks needing r = 1 and r = 3 of them,
+    # tied and rank-deficient
+    cases = [(None, 2), (None, 4), ([3.0, 2.0, 2.0, 0.5, 0.2], 2), ([3.0, 1, 1, 1, 1], 4),
+             ([2.0, 1.0, 0.0, 0.0, 0.0], 3), ([2.0, 0, 0, 0, 0], 4)]
+    for p in (2.0, 3.0, 16.0):
+        for sigma, k in cases:
+            for t in range(6):
+                shape = [(5, 5), (5, 6), (6, 5)][t % 3]
+                a = rand_complex(rng, *shape) if sigma is None else rand_with_sigma(rng, sigma,
+                                                                                    *shape)
+                x = rand_complex(rng, *shape)
+                want = inner_range(a, x, p, k).support(0.0)
+                assert dir_derivative(a, x, p, k) == want, (p, sigma, t)
+
+
+def test_face_min_norm_reads_a_complex_span_as_its_real_span(rng):
+    # span_C{B_j} and span_R{B_j, iB_j} are one real space in two row layouts:
+    # the residual, the lower bound and the verdict must not depend on the layout
+    for t, (a, p, g0) in enumerate(tied_probe(rng, 40)):
+        basis = [orthogonal_to(rng, g0) if t % 4 < 3 else rand_complex(rng, *a.shape)
+                 for _ in range(1 + t % 2)]
+        desc = descriptor(a, p, 2)
+        cx = face_min_norm(desc, MatrixSubspace(basis, "complex").rows, tol=1e-9)
+        re = face_min_norm(desc, MatrixSubspace(basis + [1j * b for b in basis], "real").rows,
+                           tol=1e-9)
+        assert abs(cx.residual - re.residual) <= 1e-12, t
+        assert abs(cx.lower - re.lower) <= 1e-12, t
+        assert (cx.residual <= 1e-9) == (re.residual <= 1e-9), t
 
 
 def test_extreme_subgradient_kernel(rng):
