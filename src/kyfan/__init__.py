@@ -18,13 +18,7 @@ from .approx import (
     strict_spectral,
     unique_1d_probe,
 )
-from .core import (
-    MatrixSubspace,
-    SpectrumBlocks,
-    SvdFactors,
-    spectrum_blocks,
-    svd,
-)
+from .core import MatrixSubspace, SpectrumBlocks, spectrum_blocks
 from .errors import InvalidInputError, IoError, ParseError, UnsupportedError
 from .lab import (
     ConvergenceReport,
@@ -79,7 +73,6 @@ __all__ = [
     "SpectrumBlocks",
     "StrictApproxResult",
     "SubdiffDescriptor",
-    "SvdFactors",
     "SweepRecord",
     "UniquenessProbe",
     "UnsupportedError",
@@ -107,7 +100,6 @@ __all__ = [
     "spectrum_blocks",
     "strict_spectral",
     "subspace_certificate",
-    "svd",
     "unique_1d_probe",
     "verify_certificate",
 ]

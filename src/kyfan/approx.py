@@ -23,7 +23,7 @@ import numpy as np
 from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
 from .errors import InvalidInputError
 from .norms import NormSpec, norm
-from .solvers import CERT_TOL, GAP_TOL, Objective, multistart_minimize
+from .solvers import CERT_TOL, FACE_ITER, GAP_TOL, Objective, multistart_minimize
 from .subdiff import descriptor, face_min_norm, subdiff_pk
 
 
@@ -90,14 +90,15 @@ class CertificateResult:
     residual_lower: float     # no subgradient at R reaches below it
 
 
-def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, max_atoms=40, seed=0):
+def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, seed=0):
     """Search the subdifferential at R = A - Y for an element with zero
     projection onto the subspace.
 
     Finding one proves Y is a global minimizer (convexity); residual_perp is
     the projection norm actually reached, and residual_lower > cert_tol proves
-    that none exists.  The search is face_min_norm at R with max_atoms oracle
-    calls; weights are the convex weights of its atoms_used extreme points.
+    that none exists.  The search is face_min_norm at R with FACE_ITER oracle
+    calls, the budget of the solvers' face bound; weights are the convex
+    weights of its atoms_used extreme points.
     result may be an ApproximationResult (the certificate is attached on
     success) or a matrix Y.  The search is deterministic; seed is accepted
     for compatibility.
@@ -115,7 +116,7 @@ def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, max_atoms=40, see
         return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
 
     desc = descriptor(r, p, k)
-    face = face_min_norm(desc, subspace.rows, tol=cert_tol, max_iter=max_atoms)
+    face = face_min_norm(desc, subspace.rows, tol=cert_tol, max_iter=FACE_ITER)
     pairing = float(np.real(np.vdot(face.g, r)))
     out = CertificateResult(found=face.residual <= cert_tol, f_matrix=face.g,
                             residual_perp=face.residual, weights=face.weights,

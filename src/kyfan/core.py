@@ -1,15 +1,17 @@
-"""Matrix primitives: the SVD wrapper, spectrum grouping, subspaces.
+"""Matrix primitives and conventions: clamping, spectrum grouping, subspaces.
 
 The clamping and multiplicity conventions live here: CLAMP_REL and BLOCK_TOL.
-Most callers take one np.linalg.svd of their own (norms.norm, the solver
-objective, subdiff.descriptor), so that a single factorization serves each
-point, and apply these constants to it; svd below is the phase-fixed wrapper.
+Each caller takes one np.linalg.svd of its own (norms.norm, norms.dual_norm,
+the solver objective, subdiff.descriptor), so that a single factorization
+serves each point, and applies these constants to it.
 
 Conventions:
   * complex128 matrices throughout; reals are accepted and widened
-  * singular values are returned non-increasing
+  * singular values are non-increasing (np.linalg.svd's order)
   * singular values below CLAMP_REL * sigma_1 are clamped to exactly 0 where
-    zeros matter (svd, subdiff.descriptor)
+    zeros matter (subdiff.descriptor)
+  * singular values within BLOCK_TOL * sigma_1 of their neighbour form one
+    multiplicity block (spectrum_blocks); it is the only grouping
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import InvalidInputError
 # relative clamp threshold for tiny singular values / eigenvalues
 CLAMP_REL = 1e-14
 
-# default relative tolerance for grouping near-equal singular values
+# relative tolerance for grouping near-equal singular values
 BLOCK_TOL = 1e-8
 
 
@@ -33,6 +35,14 @@ def as_matrix(a):
     if a.ndim != 2:
         raise InvalidInputError("expected a 2-d matrix, got ndim=%d" % a.ndim)
     return a
+
+
+def matrix_pair(a, b):
+    """as_matrix of both; InvalidInputError unless they share one shape."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise InvalidInputError("shape mismatch")
+    return a, b
 
 
 def negligible(r, a):
@@ -51,48 +61,12 @@ def _clamp_small(vals, scale):
     return vals
 
 
-def _fix_phases(u, vh):
-    # rotate each singular pair so the largest-magnitude entry of u is real >= 0;
-    # removes the per-column phase ambiguity (block ambiguity remains)
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        z = u[i, j]
-        if abs(z) > 0:
-            ph = z / abs(z)
-            u[:, j] = u[:, j] / ph
-            vh[j, :] = vh[j, :] * ph
-    return u, vh
-
-
-@dataclass
-class SvdFactors:
-    """Reduced SVD A = left @ diag(sigma) @ right.conj().T with sigma non-increasing."""
-
-    left: np.ndarray    # m x n0
-    sigma: np.ndarray   # n0, clamped
-    right: np.ndarray   # n x n0
-
-
-def svd(a):
-    """Reduced SVD with non-increasing, clamped singular values.
-
-    Deterministic for identical input bits; per-pair phases are fixed so
-    repeated calls agree exactly (degenerate blocks keep their unitary freedom).
-    """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    s = _clamp_small(s, s[0] if s.size else 0.0)
-    u, vh = _fix_phases(u, vh)
-    return SvdFactors(left=u, sigma=s, right=vh.conj().T)
-
-
 @dataclass
 class SpectrumBlocks:
     """Grouping of a non-increasing value vector into near-equal blocks."""
 
     values: np.ndarray          # one representative (mean) per block, decreasing
     multiplicities: np.ndarray  # block sizes, sum == len(input)
-    tol: float
 
     @property
     def boundaries(self):
@@ -103,27 +77,21 @@ class SpectrumBlocks:
         """Index of the block containing 1-based position i."""
         return int(np.searchsorted(self.boundaries, i))
 
-    def block_range(self, j):
-        """Half-open 0-based index range covered by block j."""
-        ends = self.boundaries
-        lo = 0 if j == 0 else int(ends[j - 1])
-        return lo, int(ends[j])
 
-
-def spectrum_blocks(sigma, tol=BLOCK_TOL):
+def spectrum_blocks(sigma):
     """Group a non-increasing vector into multiplicity blocks.
 
-    Adjacent values closer than tol * sigma_1 merge (transitively), so the
+    Adjacent values closer than BLOCK_TOL * sigma_1 merge (transitively), so the
     grouping does not depend on the scale of the vector.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 1:
         raise InvalidInputError("spectrum_blocks expects a vector")
     if sigma.size == 0:
-        return SpectrumBlocks(values=np.zeros(0), multiplicities=np.zeros(0, dtype=int), tol=tol)
+        return SpectrumBlocks(values=np.zeros(0), multiplicities=np.zeros(0, dtype=int))
     if np.any(np.diff(sigma) > 1e-12 * abs(sigma[0])):
         raise InvalidInputError("spectrum_blocks expects a non-increasing vector")
-    thresh = tol * sigma[0]
+    thresh = BLOCK_TOL * sigma[0]
     values, mults = [], []
     start = 0
     for i in range(1, sigma.size + 1):
@@ -131,7 +99,7 @@ def spectrum_blocks(sigma, tol=BLOCK_TOL):
             values.append(float(np.mean(sigma[start:i])))
             mults.append(i - start)
             start = i
-    return SpectrumBlocks(values=np.array(values), multiplicities=np.array(mults, dtype=int), tol=tol)
+    return SpectrumBlocks(values=np.array(values), multiplicities=np.array(mults, dtype=int))
 
 
 @dataclass

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, svd
+from .core import as_matrix
 from .errors import InvalidInputError
 
 # p beyond this behaves like the spectral norm in float64; callers get redirected
@@ -158,10 +158,8 @@ def _dual_gauge(d, p, k):
 
 def dual_norm(g, spec):
     """max{ Re tr(G* X) : ||X||_spec <= 1 }, via the vector gauge dual."""
-    g = as_matrix(g)
-    d = svd(g).sigma
-    n0 = d.size
-    p, k = spec.resolve(n0)
+    d = np.linalg.svd(as_matrix(g), compute_uv=False)
+    p, k = spec.resolve(d.size)
     if p is None:  # spectral: dual gauge of the sup gauge is the full sum
         return float(np.sum(d))
     return _dual_gauge(d, p, k)

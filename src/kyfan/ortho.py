@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixSubspace, as_matrix
+from .core import MatrixSubspace, as_matrix, matrix_pair
 from .errors import InvalidInputError
 from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
-from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk
+from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk, top_eigsum
 
 
 @dataclass
@@ -57,34 +57,26 @@ class InnerRange:
     def support(self, theta):
         """h(theta) = max over T of Re(e^{-i theta} t); an array of angles is
         evaluated with one stacked eigvalsh."""
-        theta = np.asarray(theta, dtype=float)
-        val = np.real(np.exp(-1j * theta) * self.fixed_part)
+        rot = np.exp(-1j * np.asarray(theta, dtype=float))
+        val = np.real(rot * self.fixed_part)
         if self.mb is not None:
-            # the Hermitian part of e^{-i theta} Mb is cos(theta) Hc + sin(theta) Hs
-            hc = (self.mb + self.mb.conj().T) / 2.0
-            hs = (self.mb.conj().T - self.mb) * 0.5j
-            w = np.linalg.eigvalsh(np.cos(theta)[..., None, None] * hc
-                                   + np.sin(theta)[..., None, None] * hs)
-            val = val + np.sum(w[..., w.shape[-1] - self.desc.boundary.required:], axis=-1)
-        return float(val) if val.ndim == 0 else val
+            # max Re tr(Q e^{-i theta} Mb) over rank-r projectors Q, as in dir_derivative
+            val = val + top_eigsum(rot[..., None, None] * self.mb, self.desc.boundary.required)
+        return float(val) if np.ndim(val) == 0 else val
 
     def real_interval(self):
         """[min Re t, max Re t] over T."""
         return -self.support(np.pi), self.support(0.0)
 
 
-def inner_range(a, b, p, k, tol=None):
+def inner_range(a, b, p, k):
     """Compute T's geometry: fixed part, min |t|, max |t| and the extreme directions.
 
     Values carry the 1/||A||^(p-1) normalization, i.e. they are pairings with
     dual-unit subgradients, so |t| <= ||B||_(p,k) always.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise InvalidInputError("shape mismatch")
-    kwargs = {} if tol is None else {"tol": tol}
-    desc = descriptor(a, p, k, **kwargs)
+    a, b = matrix_pair(a, b)
+    desc = descriptor(a, p, k)
     if desc.at_zero:
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
@@ -151,8 +143,7 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     slope of s -> ||a + s e^{-i theta_min} b||.  The decision is
     deterministic; seed is accepted for the shared check signature.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b = matrix_pair(a, b)
     spec = NormSpec.kyfan(p, k)
     pf, kf = spec.resolve(min(a.shape))  # an invalid (p, k) raises here, also at a = 0
     if not np.any(a):
@@ -220,6 +211,7 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
         raise InvalidInputError("eps must lie in [0, 1)")
     if mode not in ("complex", "real"):
         raise InvalidInputError("mode must be 'complex' or 'real'")
+    a, b = matrix_pair(a, b)
     nb = norm(b, NormSpec.kyfan(p, k))
     if not np.any(a):
         triv = InnerRange(0.0, 0.0, 0.0, True)
@@ -251,8 +243,7 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
     scalar characterization is not established; the verdict is None then.
     The decision is deterministic; seed is accepted for the shared check signature.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    a, b = matrix_pair(a, b)
     spec = NormSpec.kyfan(p, k)
     nb = norm(b, spec)
     if not np.any(a) or nb == 0.0:

@@ -37,6 +37,9 @@ from .subdiff import descriptor, face_min_norm
 # a solve stops once f - lower <= GAP_TOL * (1 + f); CERT_TOL is certify_best's
 # default bound on ||P_S G||, and polish's BFGS stops only with ||g|| within it
 GAP_TOL = CERT_TOL = 1e-7
+# oracle calls of the face search at a solve's point (face_min_norm): the face
+# bound of Objective.lower_bound and certify_best search with the same budget
+FACE_ITER = 40
 # singular values within KINK_TOL * sigma_1 count as tied: polish hands such a
 # point to the kink Newton step, which takes them as one multiple eigenvalue
 # (the face bound groups as certify_best does, at core.BLOCK_TOL)
@@ -129,22 +132,23 @@ class Objective:
         Where that leaves the bracket open, the "face" bound takes G in the face
         at the residual, with the least ||P_S G|| (face_min_norm), and the exact
         dual norm of F.  At a kink optimum the extreme G misses the orthogonal
-        complement and this G meets it.  The face groups singular values as
-        certify_best does (descriptor's default, core.BLOCK_TOL): grouped more
-        widely, values split by more than that count as tied, and the bound
-        closes at points near a kink that certify_best cannot certify.  The
+        complement and this G meets it.  The face groups singular values at
+        core.BLOCK_TOL, as certify_best's does: grouped more widely, values
+        split by more than that count as tied, and the bound closes at points
+        near a kink that certify_best cannot certify.  The
         face bound counts only when ||P_S G|| <= face_tol(f), which moves it by
         at most GAP_TOL (1 + f) / 2.  It is tight to second order in
         ||P_S G||, so it would close earlier, but then at points that
-        certify_best cannot certify.  The face is described for p >= 2 only,
-        so below that the bound is Hoelder's.
+        certify_best cannot certify.  The search itself is certify_best's
+        (FACE_ITER oracle calls).  The face is described for p >= 2 only, so
+        below that the bound is Hoelder's.
         """
         low = self.hoelder(x, f, g)
         if closes(f, low) or self.p_eff < 2:
             return low, "hoelder"
         desc = descriptor(self.residual(x), self.p_eff, self.k_eff)
         tol = self.face_tol(f)
-        face = face_min_norm(desc, self.rows, tol=tol, max_iter=40)
+        face = face_min_norm(desc, self.rows, tol=tol, max_iter=FACE_ITER)
         gx = self.subspace.real_coordinates(face.g)  # coordinates of P_S G
         dual = dual_norm(face.g - (gx @ self.rows).reshape(self.a.shape), self.spec)
         if face.residual <= tol and dual > 0.0:
@@ -306,8 +310,6 @@ def polish(obj, x0):
     obj.lower_bound's (lower, kind) once closed, else None after Nelder-Mead.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if x.size == 0:
-        return x, obj.value_and_grad(x)[0], None
     for handoff in (obj.k_eff == 1, False):
         x, f, g, tied = bfgs(obj, x, handoff)
         bracket = obj.lower_bound(x, f, g)
@@ -361,10 +363,7 @@ def kink_newton(obj, x, f):
 def grid_refine(fun_many, center, halfwidth):
     """Coarse-to-fine box search; fun_many evaluates a stack of points."""
     center = np.asarray(center, dtype=float).copy()
-    d = center.size
-    if d == 0:
-        return center, float(fun_many(center[None])[0])
-    pts, levels = GRID_FINE if d <= 2 else GRID_COARSE
+    pts, levels = GRID_FINE if center.size <= 2 else GRID_COARSE
     h = float(halfwidth)
     best_x, best_f = center.copy(), float(fun_many(center[None])[0])
     for _ in range(levels):
@@ -430,7 +429,7 @@ def multistart_minimize(obj, starts=50, iters=150, seed=0, extra_starts=()):
 
     # a closed bracket proves optimality; the grid pass is for an open one
     used_grid = False
-    if not brackets and obj.subspace.dim and obj.subspace.dim <= GRID_DIM_LIMIT:
+    if not brackets and obj.subspace.dim <= GRID_DIM_LIMIT:
         used_grid = True
         halfwidth = 2.0 * (1.0 + np.linalg.norm(best_x) + np.linalg.norm(obj.a))
         gx, gf = grid_refine(obj.value_many, best_x, halfwidth)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_TOL, SpectrumBlocks, _clamp_small, as_matrix, spectrum_blocks
+from .core import SpectrumBlocks, _clamp_small, as_matrix, matrix_pair, spectrum_blocks
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
 
@@ -78,11 +78,12 @@ def subdiff_pk(spec, n0):
     return p, k
 
 
-def descriptor(a, p, k, tol=BLOCK_TOL):
+def descriptor(a, p, k):
     """Structural description of the subdifferential of ||.||_(p,k) at a.
 
     p < 2 raises UnsupportedError (the extreme-point family below needs p >= 2).
-    One SVD serves the norm value and the structure.
+    One SVD serves the norm value and the structure; singular values group
+    into blocks at core.BLOCK_TOL.
     """
     a = as_matrix(a)
     if not np.isfinite(p) or p < 2:
@@ -100,7 +101,7 @@ def descriptor(a, p, k, tol=BLOCK_TOL):
 
     sigma = _clamp_small(s_raw, s_raw[0])
     right_full = vh.conj().T  # n x n, trailing columns span any extra null space
-    blocks = spectrum_blocks(sigma, tol)
+    blocks = spectrum_blocks(sigma)
 
     # prefactor = W diag((sigma_i/||A||)^(p-1)) Z*, the extreme subgradient at k = n0
     prefactor = extreme_subgradient(u, sigma, vh, nrm, p, n0)
@@ -168,10 +169,7 @@ def membership(a, p, k, g, tol=1e-8):
 
     Exact characterization: Re tr(g* a) >= ||a|| - tol and dual norm of g <= 1 + tol.
     """
-    a = as_matrix(a)
-    g = as_matrix(g)
-    if a.shape != g.shape:
-        raise InvalidInputError("shape mismatch")
+    a, g = matrix_pair(a, g)
     nrm = norm(a, NormSpec.kyfan(p, k))
     pairing = float(np.real(np.trace(g.conj().T @ a)))
     if pairing < nrm - tol * max(1.0, nrm):
@@ -197,23 +195,21 @@ def pairing_range_parts(desc, b):
 
 
 def top_eigsum(h, r):
-    """Sum of the r largest eigenvalues of the Hermitian part of h, in the
-    order InnerRange.support sums them."""
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
-    return float(np.sum(w[w.size - r:]))
+    """Sum of the r largest eigenvalues of the Hermitian part of h; h may be a
+    stack of matrices (one stacked eigvalsh), and the sums are stacked then."""
+    w = np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0)
+    out = np.sum(w[..., w.shape[-1] - r:], axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def dir_derivative(a, x, p, k, tol=BLOCK_TOL):
+def dir_derivative(a, x, p, k):
     """One-sided directional derivative of ||.||_(p,k) at a along x.
 
     Equals max over subgradient extreme points G of Re tr(x* G); at a = 0 this
     is ||x||_(p,k).
     """
-    a = as_matrix(a)
-    x = as_matrix(x)
-    if a.shape != x.shape:
-        raise InvalidInputError("shape mismatch")
-    desc = descriptor(a, p, k, tol=tol)
+    a, x = matrix_pair(a, x)
+    desc = descriptor(a, p, k)
     if desc.at_zero:
         return norm(x, NormSpec.kyfan(p, k))
     fixed, mb = pairing_range_parts(desc, x)

@@ -2,13 +2,8 @@
 
 import numpy as np
 
-from kyfan.core import CLAMP_REL, _clamp_small, as_matrix, svd
+from kyfan.core import CLAMP_REL, _clamp_small, as_matrix
 from kyfan.errors import InvalidInputError
-
-
-def reconstruct(f):
-    """left @ diag(sigma) @ right* for an SvdFactors."""
-    return (f.left * f.sigma) @ f.right.conj().T
 
 
 def full_right_vectors(a):
@@ -146,22 +141,22 @@ def variational_norm_check(a, p, k, trials=32, seed=0):
         raise InvalidInputError("k out of range")
     if not np.isfinite(p) or p < 1:
         raise InvalidInputError("p must be finite and >= 1")
-    f = svd(a)
-    s1 = f.sigma[0]
+    _, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    s1 = sigma[0]
     if s1 == 0:
         return 0.0
-    ratios = (f.sigma / s1) ** p
+    ratios = (sigma / s1) ** p
     rng = np.random.default_rng(seed)
     n = a.shape[1]
 
     def value(u):
         # tr(U* (A*A)^{p/2} U) = s1^p * sum_ij ratios_i |(Z* U)_ij|^2;
         # null-space components of U contribute nothing
-        zu = f.right.conj().T @ u
+        zu = vh @ u
         t = float(np.sum(ratios[:, None] * np.abs(zu) ** 2))
         return s1 * max(t, 0.0) ** (1.0 / p)
 
-    best = value(f.right[:, :k])
+    best = value(vh[:k].conj().T)
     for _ in range(trials):
         gmat = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         u, _ = np.linalg.qr(gmat)

@@ -331,6 +331,18 @@ def test_ortho_bj_verdicts(capsys, files):
     assert payload["witness"] is not None
 
 
+def test_ortho_bj_and_eps_shape_mismatch_exit_2(capsys, files, tmp_path):
+    # a 2x2 zero matrix against a 3x3 other is refused like any nonzero one
+    zero = tmp_path / "zero2.json"
+    zero.write_text(json.dumps({"rows": 2, "cols": 2, "data": [0, 0, 0, 0]}))
+    for matrix in (str(zero), files["diag31"]):
+        for extra in (["bj"], ["eps", "--eps", "0.1"], ["eps", "--eps", "0.1", "--mode", "real"]):
+            code, out, err = run(capsys, "ortho", *extra, "--matrix", matrix,
+                                 "--other", files["a3"], "--norm", "spectral")
+            assert code == 2, (matrix, extra)
+            assert "shape mismatch" in err and out == "", (matrix, extra)
+
+
 def test_ortho_eps_and_parallel(capsys, files):
     code, out, _ = run(capsys, "ortho", "eps", "--matrix", files["a3"],
                        "--other", files["x011"], "--norm", "kyfan:p=2,k=1",

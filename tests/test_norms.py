@@ -184,6 +184,23 @@ def test_dual_norm_absolutely_homogeneous(rng):
             assert abs(got - c * base) <= 1e-12 * c * base, (spec, c, got)
 
 
+def test_dual_norm_takes_one_values_only_svd(rng, monkeypatch):
+    # the dual gauge reads the singular values alone, so no factor is computed
+    g = rand_complex(rng, 4, 3)
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for spec in (NormSpec.kyfan(3, 2), NormSpec.schatten(2), NormSpec.spectral()):
+        calls.clear()
+        dual_norm(g, spec)
+        assert len(calls) == 1, spec
+        assert calls[0].get("compute_uv") is False, spec
+
+
 def test_dual_schatten_holder_conjugate(rng):
     # dual of schatten p is schatten q with 1/p + 1/q = 1
     for _ in range(8):

@@ -83,6 +83,17 @@ def test_check_bj_zero_matrix(rng):
         check_eps_bj(np.zeros((2, 2)), b, p=np.inf, k=1, eps=0.1)
 
 
+def test_bj_checks_reject_a_shape_mismatch_at_the_zero_matrix(rng):
+    # the shapes are checked before the A = 0 shortcut, as for a nonzero A
+    b = rand_complex(rng, 3, 3)
+    for a in (np.zeros((2, 2)), np.eye(2)):
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            check_bj(a, b, p=2, k=1)
+        for mode in ("complex", "real"):
+            with pytest.raises(InvalidInputError, match="shape mismatch"):
+                check_eps_bj(a, b, p=2, k=1, eps=0.1, mode=mode)
+
+
 def test_check_bj_witness(rng):
     # a true verdict carries a subgradient G with tr(G* B) = 0, supported on the
     # top eigenvectors of A*A

@@ -195,6 +195,15 @@ def test_top_eigsum():
     assert abs(top_eigsum(h, 3) - 2.0) <= 1e-12
 
 
+def test_top_eigsum_on_a_stack_matches_each_matrix(rng):
+    # InnerRange.support hands it a stack of rotations e^{-i theta} Mb
+    for d, r in ((1, 1), (3, 1), (4, 2), (5, 5)):
+        hs = np.array([rand_complex(rng, d, d) for _ in range(7)])
+        got = top_eigsum(hs, r)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [top_eigsum(h, r) for h in hs]), (d, r)
+
+
 def test_dir_derivative_knowns():
     a = np.diag([2.0, 1.0])
     assert abs(dir_derivative(a, np.eye(2), 2, 1) - 1.0) <= 1e-12
