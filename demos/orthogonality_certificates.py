@@ -52,7 +52,7 @@ def main():
           % (cert.residual_perp, cert.residual_eig, cert.dual_norm_bound))
     ok, rep = verify_certificate(a, sub, 2.0, 1, cert)
     print("  independent verification:", ok,
-          "(min direction gap %.2e)" % rep["min_direction_gap"])
+          "(pairing Re tr(G* A) = %.12f)" % rep["pairing"])
     print("  norm of A:", norm(a, NormSpec.spectral()))
 
 

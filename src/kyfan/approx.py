@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
+from .core import MatrixSubspace, matrix_in, matrix_pair, negligible, spectrum_blocks
 from .errors import InvalidInputError
 from .norms import NormSpec, norm
 from .solvers import CERT_TOL, FACE_ITER, GAP_TOL, Objective, multistart_minimize
@@ -54,10 +54,7 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
     subspaces of dimension <= solvers.GRID_DIM_LIMIT a coarse-to-fine grid pass.
     extra_coeffs seeds additional starts (warm starting across a parameter sweep).
     """
-    a = as_matrix(a)
-    if a.shape != subspace.shape:
-        raise InvalidInputError("matrix shape %r does not match subspace shape %r"
-                                % (a.shape, subspace.shape))
+    a = matrix_in(a, subspace)
     if not subspace.dim:
         raise InvalidInputError("cannot approximate from an empty subspace")
     obj = Objective(a, subspace, spec)
@@ -103,9 +100,8 @@ def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, seed=0):
     success) or a matrix Y.  The search is deterministic; seed is accepted
     for compatibility.
     """
-    a = as_matrix(a)
     attach = result if isinstance(result, ApproximationResult) else None
-    y = as_matrix(attach.y if attach is not None else result)
+    a, y = matrix_pair(matrix_in(a, subspace), attach.y if attach is not None else result)
     r = a - y
     n0 = min(a.shape)
     p, k = subdiff_pk(spec, n0)
@@ -200,10 +196,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     level set.  violation is set when a predicted-unique instance spreads
     beyond 1e-5.  p < 2 raises UnsupportedError, as certify_best does.
     """
-    a = as_matrix(a)
-    x = as_matrix(x)
-    if a.shape != x.shape:
-        raise InvalidInputError("shape mismatch")
+    a, x = matrix_pair(a, x)
     sx = np.linalg.svd(x, compute_uv=False)
     rank_x = int(np.sum(sx > 1e-12 * sx[0])) if sx.size else 0
     if rank_x == 0:
@@ -289,10 +282,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
     not certified.  stage_tol is the accuracy each certified stage
     guarantees, GAP_TOL (1 + sigma_1).
     """
-    a = as_matrix(a)
-    if a.shape != subspace.shape:
-        raise InvalidInputError("matrix shape %r does not match subspace shape %r"
-                                % (a.shape, subspace.shape))
+    a = matrix_in(a, subspace)
     if not subspace.dim:
         raise InvalidInputError("cannot approximate from an empty subspace")
     spectral = NormSpec.spectral()
@@ -393,7 +383,7 @@ def pk_singular_value_check(a, subspace, p, k, gap_tol=1e-6, seed=0, starts=10, 
     sigma_1..sigma_k against the pinned ones; passed: not applicable, or all
     k are pinned and within 1e-6 of the solve's.  p < 2 raises UnsupportedError.
     """
-    a = as_matrix(a)
+    a = matrix_in(a, subspace)
     spec = NormSpec.kyfan(p, k)
     _, k_eff = spec.resolve(min(a.shape))
     if not subspace.dim:

@@ -305,7 +305,7 @@ def _cmd_ortho_subspace(args):
     spec = parse_norm_spec(args.norm)
     p, k = subdiff_pk(spec, min(a.shape))
     cert = subspace_certificate(a, sub, p, k, tol=args.tol)
-    ok, report = verify_certificate(a, sub, p, k, cert, seed=args.seed)
+    ok, report = verify_certificate(a, sub, p, k, cert)
     _emit({"feasible": cert.feasible,
            "residual_eig": cert.residual_eig,
            "residual_perp": cert.residual_perp,

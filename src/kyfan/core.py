@@ -45,6 +45,17 @@ def matrix_pair(a, b):
     return a, b
 
 
+def matrix_in(a, subspace):
+    """as_matrix(a); InvalidInputError unless subspace is a MatrixSubspace of a's shape."""
+    a = as_matrix(a)
+    if not isinstance(subspace, MatrixSubspace):
+        raise InvalidInputError("subspace must be a MatrixSubspace")
+    if subspace.shape != a.shape:
+        raise InvalidInputError("matrix shape %r does not match subspace shape %r"
+                                % (a.shape, subspace.shape))
+    return a
+
+
 def negligible(r, a):
     """Is ||r||_F <= CLAMP_REL ||a||_F?  Both are divided by max |a_ij| first, so
     that neither norm under- or overflows; next to a = 0 only r = 0 is negligible."""
@@ -89,17 +100,12 @@ def spectrum_blocks(sigma):
         raise InvalidInputError("spectrum_blocks expects a vector")
     if sigma.size == 0:
         return SpectrumBlocks(values=np.zeros(0), multiplicities=np.zeros(0, dtype=int))
-    if np.any(np.diff(sigma) > 1e-12 * abs(sigma[0])):
+    step = np.diff(sigma)
+    if np.any(step > 1e-12 * abs(sigma[0])):
         raise InvalidInputError("spectrum_blocks expects a non-increasing vector")
-    thresh = BLOCK_TOL * sigma[0]
-    values, mults = [], []
-    start = 0
-    for i in range(1, sigma.size + 1):
-        if i == sigma.size or sigma[i - 1] - sigma[i] > thresh:
-            values.append(float(np.mean(sigma[start:i])))
-            mults.append(i - start)
-            start = i
-    return SpectrumBlocks(values=np.array(values), multiplicities=np.array(mults, dtype=int))
+    ids = np.cumsum(np.concatenate(([False], step < -BLOCK_TOL * sigma[0])))  # block of each value
+    mults = np.bincount(ids)
+    return SpectrumBlocks(values=np.bincount(ids, weights=sigma) / mults, multiplicities=mults)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import StrictApproxResult, best_approx, strict_spectral, unique_1d_probe
-from .core import MatrixSubspace, as_matrix
+from .core import MatrixSubspace, matrix_in
 from .errors import InvalidInputError, IoError
 from .norms import NormSpec, norm_of_sigma
 
@@ -47,7 +47,7 @@ def p_sweep(a, subspace, p_grid=None, strict=None, starts=12, iters=150,
     bracket, and its record carries that solve's flags ("unconverged" while
     the bracket is open).
     """
-    a = as_matrix(a)
+    a = matrix_in(a, subspace)
     if p_grid is None:
         p_grid = default_p_grid()
     p_grid = [float(p) for p in p_grid]

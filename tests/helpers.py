@@ -78,10 +78,10 @@ def golden_min(fun, lo, hi, iters=60):
 
 
 def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
-    """min(0, min_j ||a + b_j|| - ||a||) over `kyfan.verify_certificate`'s
-    sampled directions b_j, drawn in its order with one norm call each: the
-    reference for its single stacked call.  ||a|| is read where it reads it,
-    off the descriptor's SVD."""
+    """min(0, min_j ||a + b_j|| - ||a||) over samples random directions b_j in
+    the subspace, scaled to norms in [0.1, 2] max(||a||, 1): a sampled
+    cross-check of the bound a verified `kyfan.verify_certificate` proves for
+    every direction.  ||a|| is read where it reads it, off the descriptor's SVD."""
     from kyfan.norms import NormSpec, norm
     from kyfan.subdiff import descriptor
 
@@ -100,6 +100,21 @@ def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
             bdir = bdir * (rng.uniform(0.1, 2.0) * max(na, 1.0) / nrm_b)
         gap = min(gap, norm(a + bdir, spec) - na)
     return gap
+
+
+def loop_spectrum_blocks(sigma):
+    """`kyfan.core.spectrum_blocks` as a loop, one np.mean per block: the
+    reference for its vectorized form.  Returns (values, multiplicities)."""
+    from kyfan.core import BLOCK_TOL
+
+    thresh = BLOCK_TOL * sigma[0]
+    values, mults, start = [], [], 0
+    for i in range(1, sigma.size + 1):
+        if i == sigma.size or sigma[i - 1] - sigma[i] > thresh:
+            values.append(float(np.mean(sigma[start:i])))
+            mults.append(i - start)
+            start = i
+    return np.array(values), np.array(mults)
 
 
 def _inner(x, y, field):

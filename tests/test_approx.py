@@ -85,6 +85,22 @@ def test_best_approx_validation():
                     NormSpec.schatten(2))
 
 
+def test_entry_points_reject_a_subspace_of_another_shape():
+    # one boundary: a MatrixSubspace of a's shape, empty or not, else InvalidInputError
+    spec = NormSpec.spectral()
+    empty3 = MatrixSubspace([], field="complex", shape=(3, 3))
+    for sub in (SPAN_I3, empty3, [np.eye(2)]):
+        calls = [lambda: best_approx(np.eye(2), sub, spec),
+                 lambda: certify_best(np.eye(2), sub, spec, np.eye(2)),
+                 lambda: strict_spectral(np.eye(2), sub),
+                 lambda: pk_singular_value_check(np.eye(2), sub, 2, 1)]
+        for call in calls:
+            with pytest.raises(InvalidInputError):
+                call()
+    with pytest.raises(InvalidInputError, match="shape mismatch"):
+        certify_best(np.eye(3), SPAN_I3, spec, np.eye(2))
+
+
 def test_best_approx_midpoint_convexity(rng):
     for t in range(4):
         a = rand_complex(rng, 3, 3)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kyfan.cli import main, matrix_json, parse_matrix_obj, parse_norm_spec
 from kyfan.errors import ParseError
@@ -341,6 +345,72 @@ def test_ortho_bj_and_eps_shape_mismatch_exit_2(capsys, files, tmp_path):
                                  "--other", files["a3"], "--norm", "spectral")
             assert code == 2, (matrix, extra)
             assert "shape mismatch" in err and out == "", (matrix, extra)
+
+
+def test_subspace_commands_shape_mismatch_exit_2(capsys, files):
+    # a 2x2 matrix against a 3x3 subspace is refused before any factorization
+    for extra in (["ortho", "subspace", "--norm", "spectral"],
+                  ["approx", "--certify", "--norm", "spectral"], ["strict"]):
+        code, out, err = run(capsys, *extra, "--matrix", files["diag31"],
+                             "--subspace", files["sub_i3"])
+        assert code == 2, extra
+        assert "does not match subspace shape" in err and out == "", extra
+
+
+def _contract_matrix(rng, kind, shape, scale):
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "rank1":
+        g = np.outer(g[:, 0], g[0])
+    elif kind == "tied":
+        u, s, vh = np.linalg.svd(g, full_matrices=False)
+        g = (u * np.r_[2.0, 2.0, np.ones(s.size - 2)]) @ vh
+    elif kind in ("nan", "inf"):
+        g[0, 0] = float(kind)
+        return g
+    return scale * g
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from([("ortho", "subspace", "--norm", "kyfan:p=2,k=2"),
+                                ("ortho", "subspace", "--norm", "spectral"),
+                                ("approx", "--certify", "--norm", "spectral", "--starts", "4"),
+                                ("strict", "--starts", "4")]),
+       kind=st.sampled_from(["zero", "rank1", "tied", "random", "nan", "inf"]),
+       scale=st.sampled_from([1e-300, 1.0, 1e300]),
+       shape=st.sampled_from([(2, 2), (3, 3), (2, 3)]),
+       sub_shape=st.sampled_from([(2, 2), (3, 3), (2, 3)]),
+       field=st.sampled_from(["real", "complex"]), seed=st.integers(0, 2 ** 16))
+def test_cli_contract_on_matrix_subspace_commands(command, kind, scale, shape, sub_shape,
+                                                  field, seed):
+    """Any matrix against any subspace: exit 0, 2 or 3, standard JSON on stdout
+    (nothing on an error), and the same stdout again for the same --seed."""
+    rng = np.random.default_rng(seed)
+    a = _contract_matrix(rng, kind, shape, scale)
+    basis = [rng.standard_normal(sub_shape) for _ in range(1 + seed % 2)]
+    with tempfile.TemporaryDirectory() as d:
+        with open(d + "/a.json", "w") as fh:
+            json.dump(matrix_json(a), fh)
+        with open(d + "/s.json", "w") as fh:
+            json.dump({"field": field, "basis": [matrix_json(b) for b in basis]}, fh)
+        argv = list(command) + ["--matrix", d + "/a.json", "--subspace", d + "/s.json",
+                                "--seed", str(seed)]
+        outs = []
+        for _ in range(2):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            outs.append(buf.getvalue())
+    assert outs[0] == outs[1]
+    if shape != sub_shape or kind in ("nan", "inf"):
+        assert code == 2
+    if code == 2 or not outs[0]:
+        assert code != 0 and outs[0] == ""
+    else:
+        json.loads(outs[0], parse_constant=reject)
 
 
 def test_ortho_eps_and_parallel(capsys, files):

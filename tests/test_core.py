@@ -5,7 +5,8 @@ from kyfan.core import MatrixSubspace, as_matrix, negligible, spectrum_blocks
 from kyfan.errors import InvalidInputError
 
 from conftest import rand_complex
-from helpers import full_right_vectors, herm_eig, loop_subspace_maps, project_subspace, psd_power
+from helpers import (full_right_vectors, herm_eig, loop_spectrum_blocks, loop_subspace_maps,
+                     project_subspace, psd_power)
 
 
 def test_full_right_vectors_null_space(rng):
@@ -101,6 +102,23 @@ def test_spectrum_blocks_indexing():
     b = spectrum_blocks(np.array([2.0, 2.0, 1.0, 0.0]))
     assert b.block_of(1) == 0 and b.block_of(2) == 0
     assert b.block_of(3) == 1 and b.block_of(4) == 2
+
+
+def test_spectrum_blocks_matches_the_loop(rng):
+    # same break test as the loop, so the same blocks; the block means sum at
+    # most 8 values in another order, so they agree to (8 - 1) eps relative
+    for t in range(2000):
+        n = 1 + t % 8
+        s = np.sort(rng.uniform(0.0, 3.0, n))[::-1]
+        for i in rng.integers(0, n, size=t % 3):
+            s[i:i + 2] = s[i] * (1.0 - rng.choice([0.0, 1e-9, 1e-8, 2e-8]))
+        s = np.sort(s)[::-1]
+        if t % 5 == 0:
+            s[rng.integers(0, n):] = 0.0
+        b = spectrum_blocks(s)
+        values, mults = loop_spectrum_blocks(s)
+        assert np.array_equal(b.multiplicities, mults), s
+        assert np.allclose(b.values, values, rtol=7 * np.finfo(float).eps, atol=0.0), s
 
 
 def test_spectrum_blocks_rejects_increasing():

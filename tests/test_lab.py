@@ -147,6 +147,9 @@ def test_sweep_grid_validation():
         p_sweep(a, sub, p_grid=[1.5, 2.0])
     with pytest.raises(InvalidInputError):
         p_sweep(a, sub, p_grid=[])
+    for other in (MatrixSubspace([np.eye(2)]), [x]):
+        with pytest.raises(InvalidInputError):
+            p_sweep(a, other, p_grid=[2.0])
 
 
 def test_convergence_checks_single_record(cheb_sweep):

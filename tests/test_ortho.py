@@ -318,7 +318,7 @@ def test_certificate_hand_example():
     assert cert.dual_norm_bound <= 1.0 + 1e-8
     ok, report = verify_certificate(a, sub, 2, 1, cert)
     assert ok, report
-    assert report["min_direction_gap"] >= -1e-9
+    assert sampled_direction_gap(a, sub, 2, 1) >= -1e-9
 
 
 def test_certificate_zero_subspace(rng):
@@ -330,10 +330,11 @@ def test_certificate_zero_subspace(rng):
     assert ok
 
 
-def test_verify_certificate_matches_per_sample_loop(rng):
-    # one stacked norm call gives the gap and verdict of one call per sample;
-    # random subspaces make the sampled gaps negative, orthogonal ones verify
-    gaps = []
+def test_verify_certificate_is_the_conjunction_of_the_proof_checks(rng):
+    # ok is exactly the checks of the Hoelder bound; sampled directions in the
+    # subspace never drop the norm of a verified a, while random subspaces
+    # (unverified) sample a negative gap
+    verified, unverified_gaps = 0, []
     for field in ("real", "complex"):
         for dim in (0, 1, 2):
             for orthogonal in (True, False):
@@ -344,16 +345,46 @@ def test_verify_certificate_matches_per_sample_loop(rng):
                          for _ in range(dim)]
                 sub = MatrixSubspace(basis, field=field, shape=(3, 4))
                 cert = subspace_certificate(a, sub, p, k)
-                for samples in (1, 20):
-                    ok, report = verify_certificate(a, sub, p, k, cert, samples=samples, seed=dim)
-                    gap = sampled_direction_gap(a, sub, p, k, samples=samples, seed=dim)
-                    assert report["min_direction_gap"] == gap, (field, dim, orthogonal, samples)
-                    rest = (report["psd_ok"] and report["trace_ok"]
-                            and report["residual_eig"] <= 1e-8 and report["residual_perp"] <= 1e-8
-                            and report["dual_norm_bound"] <= 1.0 + 1e-8)
-                    assert ok == (rest and gap >= -1e-9 * max(1.0, norm(a, NormSpec.kyfan(p, k))))
-                    gaps.append(gap)
-    assert min(gaps) < 0.0 and gaps.count(0.0) >= 8
+                ok, report = verify_certificate(a, sub, p, k, cert)
+                na = norm(a, NormSpec.kyfan(p, k))
+                assert ok == (report["psd_ok"] and report["trace_ok"]
+                              and report["residual_eig"] <= 1e-8 and report["residual_perp"] <= 1e-8
+                              and report["dual_norm_bound"] <= 1.0 + 1e-8
+                              and report["pairing"] >= na - 1e-8 * max(1.0, na))
+                gap = sampled_direction_gap(a, sub, p, k, samples=20, seed=dim)
+                if ok:
+                    verified += 1
+                    assert gap >= -1e-9 * max(1.0, na), (field, dim, orthogonal)
+                else:
+                    unverified_gaps.append(gap)
+    assert verified >= 8 and min(unverified_gaps) < 0.0
+
+
+def test_verify_certificate_checks_the_pairing():
+    # T_1 on sigma_2's eigenvector at a loose tol: every other check passes and
+    # G = diag(0, 0.64) is orthogonal to E11, yet ||a - E11|| = 0.8 < ||a|| = 1
+    a = np.diag([1.0, 0.8])
+    sub = MatrixSubspace([np.diag([1.0, 0.0])])
+    cert = subspace_certificate(a, sub, p=3, k=1)
+    wrong = type(cert)(**{**cert.__dict__})
+    wrong.T_list = [np.diag([0.0, 1.0]).astype(complex)]
+    ok, report = verify_certificate(a, sub, 3, 1, wrong, tol=0.4)
+    assert not ok and abs(report["pairing"] - 0.8 ** 3) <= 1e-12
+    assert report["psd_ok"] and report["trace_ok"] and report["residual_eig"] <= 0.4
+    assert report["residual_perp"] <= 1e-15 and report["dual_norm_bound"] <= 1.0
+
+
+def test_verify_certificate_rejects_a_malformed_t_list():
+    a = np.diag([0.5, 1.0, -1.0])
+    sub = MatrixSubspace([np.diag([0.0, 1.0, 1.0])])
+    cert = subspace_certificate(a, sub, p=2, k=1)
+    for t_list in ([], cert.T_list * 2, [np.eye(2)], [np.ones(3)]):
+        bad = type(cert)(**{**cert.__dict__})
+        bad.T_list = t_list
+        with pytest.raises(InvalidInputError):
+            verify_certificate(a, sub, 2, 1, bad)
+    with pytest.raises(InvalidInputError):
+        verify_certificate(np.zeros((3, 3)), sub, 2, 1, cert)
 
 
 def test_certificate_infeasible_member():
@@ -465,3 +496,13 @@ def test_certificate_requires_nonzero_a():
         subspace_certificate(np.zeros((2, 2)), sub, 2, 1)
     with pytest.raises(InvalidInputError):
         subspace_certificate(np.eye(2), [np.eye(2)], 2, 1)
+
+
+def test_certificates_reject_a_subspace_of_another_shape():
+    sub3 = MatrixSubspace([np.eye(3)])
+    cert = subspace_certificate(np.diag([1.0, 2.0, 3.0]), sub3, 2, 1)
+    for a in (np.eye(2), np.zeros((2, 2)), np.eye(3, 4)):
+        with pytest.raises(InvalidInputError, match="does not match"):
+            subspace_certificate(a, sub3, 2, 1)
+        with pytest.raises(InvalidInputError, match="does not match"):
+            verify_certificate(a, sub3, 2, 1, cert)
