@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MatrixSubspace, matrix_in, matrix_pair, negligible, spectrum_blocks
+from .core import MatrixSubspace, matrix_in, matrix_pair, negligible, spectrum_blocks, tolerance
 from .errors import InvalidInputError
 from .norms import NormSpec, norm
 from .solvers import CERT_TOL, FACE_ITER, GAP_TOL, Objective, multistart_minimize
@@ -100,6 +100,7 @@ def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, seed=0):
     success) or a matrix Y.  The search is deterministic; seed is accepted
     for compatibility.
     """
+    cert_tol = tolerance(cert_tol, "cert_tol")
     attach = result if isinstance(result, ApproximationResult) else None
     a, y = matrix_pair(matrix_in(a, subspace), attach.y if attach is not None else result)
     r = a - y

@@ -246,20 +246,20 @@ def _cmd_subdiff(args):
     return 0
 
 
+def _operands(args, other):
+    """(a, b, p, k): the --matrix file, the file other and (p, k) of --norm."""
+    a, b = parse_matrix_file(args.matrix), parse_matrix_file(other)
+    return (a, b) + subdiff_pk(parse_norm_spec(args.norm), min(a.shape))
+
+
 def _cmd_dirderiv(args):
-    a = parse_matrix_file(args.matrix)
-    x = parse_matrix_file(args.direction)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
+    a, x, p, k = _operands(args, args.direction)
     _emit({"value": dir_derivative(a, x, p, k)}, args)
     return 0
 
 
 def _cmd_ortho_bj(args):
-    a = parse_matrix_file(args.matrix)
-    b = parse_matrix_file(args.other)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
+    a, b, p, k = _operands(args, args.other)
     res = check_bj(a, b, p, k, tol=args.tol, seed=args.seed)
     payload = {
         "orthogonal": res.orthogonal,
@@ -274,22 +274,15 @@ def _cmd_ortho_bj(args):
 
 
 def _cmd_ortho_eps(args):
-    a = parse_matrix_file(args.matrix)
-    b = parse_matrix_file(args.other)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
-    res = check_eps_bj(a, b, p, k, args.eps, mode=args.mode, tol=args.tol,
-                       seed=args.seed)
+    a, b, p, k = _operands(args, args.other)
+    res = check_eps_bj(a, b, p, k, args.eps, mode=args.mode, tol=args.tol, seed=args.seed)
     _emit({"orthogonal": res.satisfied, "eps": args.eps, "mode": args.mode,
            "attained": res.attained, "threshold": res.threshold}, args)
     return 0
 
 
 def _cmd_ortho_parallel(args):
-    a = parse_matrix_file(args.matrix)
-    b = parse_matrix_file(args.other)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
+    a, b, p, k = _operands(args, args.other)
     res = check_parallel(a, b, p, k, tol=args.tol, seed=args.seed)
     _emit({"parallel": res.parallel,
            "lambda": None if res.lam is None else _pair(res.lam),

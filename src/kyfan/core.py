@@ -56,6 +56,13 @@ def matrix_in(a, subspace):
     return a
 
 
+def tolerance(tol, name="tol"):
+    """float(tol); InvalidInputError unless it is finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidInputError("%s must be finite and >= 0, got %r" % (name, tol))
+    return float(tol)
+
+
 def negligible(r, a):
     """Is ||r||_F <= CLAMP_REL ||a||_F?  Both are divided by max |a_ij| first, so
     that neither norm under- or overflows; next to a = 0 only r = 0 is negligible."""

@@ -9,13 +9,13 @@ the scalar set
 
 T is convex (the r-numerical range of Mb is), so min/max of |t| over T come
 from the planar support function h(theta) = max Re(e^{-i theta} t), a top-r
-eigensum per direction.  One stacked eigvalsh scans 256 directions, and four
-zoomed stacked scans refine both extremes.  A true BJ verdict carries a
-witness: the subgradient G nearest to tr(G* B) = 0, found by face_min_norm
-with S = span_C{B}.  A false one carries a refuting lambda: the minimizer of
-||A + s e^{-i theta} B|| along the ray of steepest descent, found by an
-Illinois secant on its slope Re tr(G* e^{-i theta} B), with G the closed-form
-extreme subgradient from one SVD per point.
+eigensum per direction.  Each check refines only the extreme it reads: the
+best of 256 directions starts an Illinois secant on h'.  A true BJ verdict
+carries a witness: the subgradient G nearest to tr(G* B) = 0, found by
+face_min_norm with S = span_C{B}.  A false one carries a refuting lambda: the
+minimizer of ||A + s e^{-i theta} B|| along the ray of steepest descent, found
+by the same secant on its slope Re tr(G* e^{-i theta} B), with G the
+closed-form extreme subgradient from one SVD per point.
 
 The approximate (eps) variant asks ||A + zB||^2 >= ||A||^2 - 2 eps ||A|| ||zB||
 and reduces to min |t| <= eps ||B|| (complex scalars) or min |Re t| <= eps ||B||
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatrixSubspace, matrix_in, matrix_pair
+from .core import MatrixSubspace, matrix_in, matrix_pair, tolerance
 from .errors import InvalidInputError
 from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
 from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk, top_eigsum
@@ -46,11 +46,7 @@ class InnerRange:
     """The scalar set T = {tr(G* B)} over extreme subgradients at A."""
 
     fixed_part: complex
-    min_abs: float
-    max_abs: float
     singleton: bool
-    theta_min: float = 0.0     # where the support function h is smallest
-    theta_max: float = 0.0     # where h is largest
     desc: object = field(default=None, repr=False)
     mb: object = field(default=None, repr=False)
 
@@ -68,9 +64,41 @@ class InnerRange:
         """[min Re t, max Re t] over T."""
         return -self.support(np.pi), self.support(0.0)
 
+    def attaining(self, theta):
+        """The point t of T attaining h(theta), from one eigh."""
+        if self.mb is None:
+            return self.fixed_part
+        h = np.exp(-1j * theta) * self.mb
+        c = np.linalg.eigh((h + h.conj().T) / 2.0)[1][:, -self.desc.boundary.required:]
+        return complex(self.fixed_part + np.trace(c.conj().T @ self.mb @ c))
+
+    def extreme(self, sign):
+        """(theta, h(theta), t) where sign * h is largest, t attaining h(theta):
+        sign = -1 gives dist(0, T) = max(0, -h), sign = 1 gives h = max |t| over
+        T (T is convex).  The best of 256 directions starts a secant on h'
+        within +-1 grid step of it."""
+        if self.mb is None:
+            t = self.fixed_part
+            return float(np.angle(sign * t)), sign * abs(t), t
+
+        def point(theta):  # -sign h and its slope: by Danskin e^{-i theta} t = h + i h'
+            t = self.attaining(theta)
+            z = -sign * np.exp(-1j * theta) * t
+            return float(z.real), float(z.imag), abs(t), t
+
+        grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+        mid = grid[np.argmax(sign * self.support(grid))]
+        lo, hi = mid - grid[1], mid + grid[1]
+        at_lo, at_hi = point(lo), point(hi)
+        if at_lo[1] < 0.0 <= at_hi[1]:
+            theta, val, t = _secant(point, lo, hi, at_lo, at_hi)
+        else:  # h' keeps its sign at the ends, both ranked below mid by the scan
+            theta, (val, _, _, t) = mid, point(mid)
+        return float(theta), -sign * val, t
+
 
 def inner_range(a, b, p, k):
-    """Compute T's geometry: fixed part, min |t|, max |t| and the extreme directions.
+    """T's parts at A: the fixed part and the boundary compression Mb.
 
     Values carry the 1/||A||^(p-1) normalization, i.e. they are pairings with
     dual-unit subgradients, so |t| <= ||B||_(p,k) always.
@@ -80,44 +108,31 @@ def inner_range(a, b, p, k):
     if desc.at_zero:
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
-    fixed = complex(fixed)
-
-    rng_obj = InnerRange(fixed_part=fixed, min_abs=abs(fixed), max_abs=abs(fixed),
-                         singleton=desc.singleton, theta_min=float(np.angle(-fixed)),
-                         theta_max=float(np.angle(fixed)), desc=desc, mb=mb)
-    if mb is None:
-        return rng_obj
-
-    # one support scan serves both extremes; T convex, so max |t| is the
-    # largest support value and dist(0, T) = max(0, -min h).  Each zoom scans
-    # +-1 grid step around both incumbents (offset 0 keeps them) at 1/16 the step.
-    grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    hv = rng_obj.support(grid)
-    ends = grid[[np.argmin(hv), np.argmax(hv)]]
-    step = grid[1]
-    for _ in range(4):
-        cand = ends[:, None] + step * np.linspace(-1.0, 1.0, 33)
-        hv = rng_obj.support(cand)
-        ends = np.array([cand[0, np.argmin(hv[0])], cand[1, np.argmax(hv[1])]])
-        step /= 16.0
-    rng_obj.theta_min, rng_obj.theta_max = float(ends[0]), float(ends[1])
-    rng_obj.min_abs = max(0.0, -float(np.min(hv[0])))
-    rng_obj.max_abs = float(np.max(hv[1]))
-    return rng_obj
+    return InnerRange(fixed_part=complex(fixed), singleton=desc.singleton, desc=desc, mb=mb)
 
 
-def _attaining_isometry(rng_obj, theta):
-    """Isometry attaining the support value in direction theta."""
-    mb = rng_obj.mb
-    r = rng_obj.desc.boundary.required
-    h = (np.exp(-1j * theta) * mb + (np.exp(-1j * theta) * mb).conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    return v[:, ::-1][:, :r]
-
-
-def _attaining_value(rng_obj, theta):
-    c = _attaining_isometry(rng_obj, theta)
-    return complex(rng_obj.fixed_part + np.trace(c.conj().T @ rng_obj.mb @ c))
+def _secant(point, lo, hi, at_lo, at_hi):
+    """Illinois secant for a minimum on [lo, hi]: point(x) returns (value, slope,
+    scale, data), at_lo = point(lo) has slope < 0 and at_hi = point(hi) >= 0.
+    It stops once |slope| (hi - lo), a bound on value - min where the function
+    is convex, is <= 1e-15 scale, or after 50 steps.  Returns (x, value, data)
+    of the smallest value seen."""
+    g_lo, g_hi, side = at_lo[1], at_hi[1], 0
+    best = (lo, at_lo[0], at_lo[3]) if at_lo[0] <= at_hi[0] else (hi, at_hi[0], at_hi[3])
+    for _ in range(50):
+        x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        x = x if lo < x < hi else 0.5 * (lo + hi)
+        f, g, scale, data = point(x)
+        if f < best[1]:
+            best = (x, f, data)
+        # Illinois: the slope of a bracket end kept twice in a row is halved
+        if g < 0.0:
+            lo, g_lo, g_hi, side = x, g, g_hi * (0.5 if side < 0 else 1.0), -1
+        else:
+            hi, g_hi, g_lo, side = x, g, g_lo * (0.5 if side > 0 else 1.0), 1
+        if abs(g) * (hi - lo) <= 1e-15 * scale:
+            break
+    return best
 
 
 @dataclass
@@ -139,54 +154,41 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     carries a witness: the subgradient G at a nearest to tr(G* b) = 0
     (face_min_norm over span_C{b}).  A false one carries a refuting lambda
     with ||a + lambda b|| < ||a||: the minimizer along the ray of steepest
-    descent e^{-i theta_min} b, found by a safeguarded Illinois secant on the
-    slope of s -> ||a + s e^{-i theta_min} b||.  The decision is
-    deterministic; seed is accepted for the shared check signature.
+    descent e^{-i theta} b, theta where T's support function is lowest, found
+    by the secant on the slope of s -> ||a + s e^{-i theta} b||.  The
+    decision is deterministic; seed is accepted for the shared check signature.
     """
+    tol = tolerance(tol)
     a, b = matrix_pair(a, b)
     spec = NormSpec.kyfan(p, k)
     pf, kf = spec.resolve(min(a.shape))  # an invalid (p, k) raises here, also at a = 0
     if not np.any(a):
         # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
-        triv = InnerRange(0.0, 0.0, 0.0, True)
-        return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, triv)
+        return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, InnerRange(0.0, True))
     rng_obj = inner_range(a, b, p, k)
+    theta, h_min, _ = rng_obj.extreme(-1)
+    min_abs = max(0.0, -h_min)
     nb = float(np.linalg.norm(b))
-    if rng_obj.min_abs <= tol * nb:
+    if min_abs <= tol * nb:
         span = MatrixSubspace([b / nb] if nb > 0.0 else [], "complex", shape=b.shape)
-        face = face_min_norm(rng_obj.desc, span.rows, tol=rng_obj.min_abs / nb if span.dim else 0.0)
+        face = face_min_norm(rng_obj.desc, span.rows, tol=min_abs / nb if span.dim else 0.0)
         resid = float(abs(np.vdot(face.g, b)))
-        return BjResult(True, rng_obj.min_abs, face.g, resid, None, None, rng_obj)
+        return BjResult(True, min_abs, face.g, resid, None, None, rng_obj)
 
-    # refute along d b, d = e^{-i theta_min}: phi(s) = ||a + s d b|| is convex with
+    # refute along d b, d = e^{-i theta}: phi(s) = ||a + s d b|| is convex with
     # slope -min_abs < 0 at 0 and phi(hi) >= ||a|| at hi = 2||a||/||b||, so a slope
-    # >= 0 there.  The slope is Re tr(G* d b), G the extreme subgradient at a + s d b,
-    # and convexity bounds phi(s) - min phi by |phi'(s)| (hi - lo): the stop rule.
+    # >= 0 there.  The slope is Re tr(G* d b), G the extreme subgradient at a + s d b.
     pe, ke = subdiff_pk(spec, min(a.shape))
-    d = np.exp(-1j * rng_obj.theta_min)
+    d = np.exp(-1j * theta)
 
     def point(s):
         u, sv, vh = np.linalg.svd(a + s * d * b, full_matrices=False)
         f = float(_sigma_norm(sv, pf, kf))
-        return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, pe, ke), d * b).real)
+        return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, pe, ke), d * b).real), f, None
 
-    lo, g_lo, hi, side = 0.0, -rng_obj.min_abs, 2.0 * rng_obj.desc.norm_value / norm(b, spec), 0
-    f, g_hi = point(hi)
-    best = (f, hi)
-    for _ in range(50):
-        s = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        s = s if lo < s < hi else 0.5 * (lo + hi)
-        f, g = point(s)
-        best = min(best, (f, s))
-        # Illinois: the slope of a bracket end kept twice in a row is halved
-        if g < 0.0:
-            lo, g_lo, g_hi, side = s, g, g_hi * (0.5 if side < 0 else 1.0), -1
-        else:
-            hi, g_hi, g_lo, side = s, g, g_lo * (0.5 if side > 0 else 1.0), 1
-        if abs(g) * (hi - lo) <= 1e-15 * f:
-            break
-    lam = best[1] * d
-    return BjResult(False, rng_obj.min_abs, None, None, lam, norm(a + lam * b, spec), rng_obj)
+    na, hi = rng_obj.desc.norm_value, 2.0 * rng_obj.desc.norm_value / norm(b, spec)
+    lam = _secant(point, 0.0, hi, (na, -min_abs, na, None), point(hi))[0] * d
+    return BjResult(False, min_abs, None, None, lam, norm(a + lam * b, spec), rng_obj)
 
 
 @dataclass
@@ -207,6 +209,7 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     tol ||b||_F.  The decision is deterministic; seed is accepted for the
     shared check signature.
     """
+    tol = tolerance(tol)
     if not 0.0 <= eps < 1.0:
         raise InvalidInputError("eps must lie in [0, 1)")
     if mode not in ("complex", "real"):
@@ -214,11 +217,10 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     a, b = matrix_pair(a, b)
     nb = norm(b, NormSpec.kyfan(p, k))
     if not np.any(a):
-        triv = InnerRange(0.0, 0.0, 0.0, True)
-        return EpsBjResult(True, eps, mode, 0.0, eps * nb, triv)
+        return EpsBjResult(True, eps, mode, 0.0, eps * nb, InnerRange(0.0, True))
     rng_obj = inner_range(a, b, p, k)
     if mode == "complex":
-        attained = rng_obj.min_abs
+        attained = max(0.0, -rng_obj.extreme(-1)[1])
     else:
         lo, hi = rng_obj.real_interval()
         attained = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
@@ -243,27 +245,20 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
     scalar characterization is not established; the verdict is None then.
     The decision is deterministic; seed is accepted for the shared check signature.
     """
+    tol = tolerance(tol)
     a, b = matrix_pair(a, b)
     spec = NormSpec.kyfan(p, k)
     nb = norm(b, spec)
     if not np.any(a) or nb == 0.0:
         raise InvalidInputError("check_parallel needs nonzero a and b")
     rng_obj = inner_range(a, b, p, k)
-    na = rng_obj.desc.norm_value
+    _, max_abs, t = rng_obj.extreme(1)
     if rng_obj.desc.rank_deficient:
-        return ParallelResult(None, None, rng_obj.max_abs, nb, True, None)
-    is_par = rng_obj.max_abs >= nb - tol * max(1.0, nb)
-    lam = None
-    gap = None
-    if is_par:
-        if rng_obj.mb is None:
-            t_att = rng_obj.fixed_part
-        else:
-            t_att = _attaining_value(rng_obj, rng_obj.theta_max)
-        if abs(t_att) > 0:
-            lam = complex(np.conj(t_att / abs(t_att)))
-            gap = abs(norm(a + lam * b, spec) - na - nb)
-    return ParallelResult(bool(is_par), lam, rng_obj.max_abs, nb, False, gap)
+        return ParallelResult(None, None, max_abs, nb, True, None)
+    is_par = max_abs >= nb - tol * max(1.0, nb)
+    lam = complex(np.conj(t / abs(t))) if is_par and abs(t) > 0 else None
+    gap = None if lam is None else abs(norm(a + lam * b, spec) - rng_obj.desc.norm_value - nb)
+    return ParallelResult(bool(is_par), lam, max_abs, nb, False, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +289,7 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     when its projection on the subspace is <= tol; residual_lower > tol proves
     that no certificate exists.  The other residuals are verify_certificate's.
     """
+    tol = tolerance(tol)
     a = matrix_in(a, subspace)
     desc = descriptor(a, p, k)
     face = face_min_norm(desc, subspace.rows, tol=tol, max_iter=max_iter)
@@ -340,6 +336,7 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
     Y in the subspace.  T_list must hold k matrices of shape n x n; the check
     is deterministic, and seed is accepted for the shared check signature.
     """
+    tol = tolerance(tol)
     a = matrix_in(a, subspace)
     if len(cert.T_list) != k or any(np.shape(t) != a.shape[1:] * 2 for t in cert.T_list):
         raise InvalidInputError("a certificate holds k = %d matrices of shape %r" % (k, a.shape[1:] * 2))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectrumBlocks, _clamp_small, as_matrix, matrix_pair, spectrum_blocks
+from .core import SpectrumBlocks, _clamp_small, as_matrix, matrix_pair, spectrum_blocks, tolerance
 from .errors import InvalidInputError, UnsupportedError
 from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
 
@@ -169,6 +169,7 @@ def membership(a, p, k, g, tol=1e-8):
 
     Exact characterization: Re tr(g* a) >= ||a|| - tol and dual norm of g <= 1 + tol.
     """
+    tol = tolerance(tol)
     a, g = matrix_pair(a, g)
     nrm = norm(a, NormSpec.kyfan(p, k))
     pairing = float(np.real(np.trace(g.conj().T @ a)))

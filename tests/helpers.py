@@ -102,6 +102,23 @@ def sampled_direction_gap(a, subspace, p, k, samples=20, seed=0):
     return gap
 
 
+def zoom_extremes(rng_obj):
+    """The lowest and highest support values of `kyfan.InnerRange` as a
+    256-direction scan refined by four zooms of +-1 grid step (33 directions
+    each, 1/16 the step each time): the cross-check for its secant search
+    `extreme`.  Returns ((theta_min, h_min), (theta_max, h_max))."""
+    grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    hv = rng_obj.support(grid)
+    ends = grid[[np.argmin(hv), np.argmax(hv)]]
+    step = grid[1]
+    for _ in range(4):
+        cand = ends[:, None] + step * np.linspace(-1.0, 1.0, 33)
+        hv = rng_obj.support(cand)
+        ends = np.array([cand[0, np.argmin(hv[0])], cand[1, np.argmax(hv[1])]])
+        step /= 16.0
+    return (float(ends[0]), float(np.min(hv[0]))), (float(ends[1]), float(np.max(hv[1])))
+
+
 def loop_spectrum_blocks(sigma):
     """`kyfan.core.spectrum_blocks` as a loop, one np.mean per block: the
     reference for its vectorized form.  Returns (values, multiplicities)."""

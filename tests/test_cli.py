@@ -160,6 +160,25 @@ def test_tol_only_on_ortho_commands(capsys, files):
     assert code == 0
 
 
+def test_invalid_tolerance_exits_2(capsys, files, tmp_path):
+    # diag(3, 1) is not orthogonal to E12 in the spectral norm; a NaN or
+    # negative tolerance used to pass through and print a "refuting" lambda
+    # that raises the norm
+    e12 = tmp_path / "e12.json"
+    e12.write_text(json.dumps({"rows": 2, "cols": 2, "data": [0, 1, 0, 0]}))
+    for tol in ("nan", "-1", "inf"):
+        for argv in (["ortho", "bj", "--other", str(e12), "--tol", tol],
+                     ["ortho", "eps", "--other", str(e12), "--eps", "0.1", "--tol", tol],
+                     ["ortho", "eps", "--other", str(e12), "--eps", "0.1", "--mode", "real",
+                      "--tol", tol],
+                     ["ortho", "parallel", "--other", str(e12), "--tol", tol],
+                     ["ortho", "subspace", "--subspace", files["eye2_sub"], "--tol", tol],
+                     ["approx", "--certify", "--subspace", files["eye2_sub"], "--cert-tol", tol]):
+            code, out, err = run(capsys, *argv, "--matrix", files["diag31"], "--norm", "spectral")
+            assert code == 2, (tol, argv)
+            assert "must be finite and >= 0" in err and out == "", (tol, argv)
+
+
 def test_spectral_limit_norm_uses_the_2_1_subdifferential(capsys, files):
     # p beyond P_CAP is the spectral norm, whose subdifferential is the (2, 1) one
     code, out, _ = run(capsys, "subdiff", "--matrix", files["diag31"],

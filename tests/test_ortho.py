@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kyfan.approx import certify_best
 from kyfan.core import MatrixSubspace
 from kyfan.errors import InvalidInputError
 from kyfan.norms import NormSpec, norm
@@ -16,7 +17,7 @@ from kyfan.subdiff import (canonical_extreme, descriptor, dir_derivative, member
                            sample_extreme)
 
 from conftest import lambda_min_norm, orthogonal_to, rand_complex, rand_with_sigma, tied_probe
-from helpers import golden_min, sampled_direction_gap
+from helpers import golden_min, sampled_direction_gap, zoom_extremes
 
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -24,27 +25,30 @@ E21 = np.array([[0.0, 0.0], [1.0, 0.0]])
 def test_inner_range_singletons():
     r = inner_range(np.diag([1.0, 0.0]), E21, p=2, k=1)
     assert r.singleton and abs(r.fixed_part) <= 1e-14
-    assert r.min_abs <= 1e-14 and r.max_abs <= 1e-14
+    assert -r.extreme(-1)[1] <= 1e-14 and r.extreme(1)[1] <= 1e-14
     r = inner_range(np.diag([2.0, 1.0]), np.diag([0.0, 1.0]), p=2, k=1)
-    assert r.singleton and r.max_abs <= 1e-14
+    assert r.singleton and r.extreme(1)[1] <= 1e-14
     # T = {1j}: h is largest at arg(1j) and smallest opposite it
     r = inner_range(np.diag([2.0, 1.0]), np.diag([1j, 0.0]), p=2, k=1)
     assert r.singleton and abs(r.fixed_part - 1j) <= 1e-14
-    assert abs(r.theta_max - np.pi / 2) <= 1e-14 and abs(r.theta_min + np.pi / 2) <= 1e-14
-    assert abs(r.support(r.theta_max) - 1.0) <= 1e-14 and abs(r.support(r.theta_min) + 1.0) <= 1e-14
+    (theta_min, h_min, t_min), (theta_max, h_max, t_max) = r.extreme(-1), r.extreme(1)
+    assert abs(theta_max - np.pi / 2) <= 1e-14 and abs(theta_min + np.pi / 2) <= 1e-14
+    assert abs(h_max - 1.0) <= 1e-14 and abs(h_min + 1.0) <= 1e-14 and t_min == t_max == 1j
+    assert abs(r.support(theta_max) - 1.0) <= 1e-14 and abs(r.support(theta_min) + 1.0) <= 1e-14
 
 
 def test_inner_range_degenerate_interval():
     # T = {<Bu, u> : ||u|| = 1} = [-1, 1] for B = diag(1,-1) at A = I
     r = inner_range(np.eye(2), np.diag([1.0, -1.0]), p=2, k=1)
     assert not r.singleton
-    assert r.min_abs <= 1e-9
-    assert abs(r.max_abs - 1.0) <= 1e-9
+    (theta_min, h_min, _), (theta_max, h_max, t_max) = r.extreme(-1), r.extreme(1)
+    assert abs(h_min) <= 1e-9
+    assert abs(h_max - 1.0) <= 1e-9 and abs(abs(t_max) - 1.0) <= 1e-12
     lo, hi = r.real_interval()
     assert abs(lo + 1.0) <= 1e-9 and abs(hi - 1.0) <= 1e-9
     # h(theta) = |cos theta|: largest at 0 or pi, smallest (0) at +-pi/2
-    assert abs(r.support(r.theta_max) - 1.0) <= 1e-12
-    assert abs(r.support(r.theta_min)) <= 1e-12
+    assert abs(r.support(theta_max) - 1.0) <= 1e-12
+    assert abs(r.support(theta_min)) <= 1e-12
 
 
 def test_inner_range_bounded_by_b_norm(rng):
@@ -54,12 +58,90 @@ def test_inner_range_bounded_by_b_norm(rng):
         p, k = float(rng.choice([2.0, 3.0])), int(rng.integers(1, 4))
         r = inner_range(a, b, p, k)
         nb = norm(b, NormSpec.kyfan(p, k))
-        assert r.max_abs <= nb + 1e-8 * (1 + nb)
-        assert r.min_abs <= r.max_abs + 1e-12
+        min_abs, max_abs = max(0.0, -r.extreme(-1)[1]), r.extreme(1)[1]
+        assert max_abs <= nb + 1e-8 * (1 + nb)
+        assert min_abs <= max_abs + 1e-12
         gs = sample_extreme(r.desc, seed=t, count=16)
         for g in gs:
             t_s = complex(np.trace(g.conj().T @ b))
-            assert r.min_abs - 1e-9 <= abs(t_s) <= r.max_abs + 1e-9
+            assert min_abs - 1e-9 <= abs(t_s) <= max_abs + 1e-9
+
+
+def test_extremes_reach_the_zoom_oracle(rng):
+    # the secant on h' ends no worse than the scan refined by four zooms, on
+    # generic (a singleton T), tied (boundary rank r = 1 and r = 3),
+    # rank-deficient and rectangular A
+    cases = [((3.0, 2.0, 1.5, 1.0), None, 2), ((3.0, 2.0, 2.0, 1.0), None, 2),
+             ((3.0, 2.0, 2.0, 2.0, 2.0, 1.0), None, 4), ((2.0, 1.0, 0.0, 0.0), None, 3),
+             ((2.0, 1.0, 1.0), (3, 5), 2), ((2.0, 1.0, 1.0), (5, 3), 2)]
+    searched = 0
+    for sigma, shape, k in cases:
+        m, n = shape or (len(sigma), len(sigma))
+        for p in (2.0, 3.0, 16.0):
+            for _ in range(4):
+                a = rand_with_sigma(rng, sigma, m, n)
+                b = rand_complex(rng, m, n)
+                r = inner_range(a, b, p, k)
+                nb = norm(b, NormSpec.kyfan(p, k))
+                (_, h_lo), (_, h_hi) = zoom_extremes(r)
+                for sign, want in ((-1, h_lo), (1, h_hi)):
+                    theta, h, t = r.extreme(sign)
+                    assert sign * h >= sign * want - 1e-13 * nb, (sigma, shape, p, sign, h, want)
+                    assert abs(h - (np.exp(-1j * theta) * t).real) <= 1e-15 * nb
+                    assert abs(h - r.support(theta)) <= 1e-13 * nb
+                searched += not r.singleton
+    assert searched == 5 * 3 * 4
+
+
+def test_searches_scan_once_and_only_where_read(rng, monkeypatch):
+    # real-mode check_eps_bj reads h(0) and h(pi) only; check_bj and
+    # check_parallel each scan 256 directions once and refine by eigh alone
+    import kyfan.ortho as ortho
+
+    stacks, eighs = [], []
+    top_eigsum, eigh = ortho.top_eigsum, np.linalg.eigh
+
+    def counting_top_eigsum(h, r):
+        stacks.append(np.shape(h)[:-2])
+        return top_eigsum(h, r)
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ortho, "top_eigsum", counting_top_eigsum)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    a = rand_with_sigma(rng, [3.0, 2.0, 2.0, 1.0])
+    b = rand_complex(rng, 4, 4)
+    for p in (2.0, 3.0):
+        stacks.clear(), eighs.clear()
+        check_eps_bj(a, b, p, 2, eps=0.1, mode="real")
+        assert sum(int(np.prod(s)) for s in stacks) == 2 and not eighs, (p, stacks, eighs)
+        for check in (check_bj, check_parallel):
+            stacks.clear()
+            check(a, b, p, 2)
+            assert stacks == [(256,)], (p, check.__name__, stacks)
+
+
+def test_tolerances_are_validated_at_the_boundary():
+    # a NaN tolerance used to flip verdicts, a negative one to refute with a
+    # lambda that raises the norm
+    a, e12 = np.diag([3.0, 1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    sub = MatrixSubspace([e12], field="real")
+    cert = subspace_certificate(a, sub, 2, 1)
+    calls = [lambda tol: check_bj(a, e12, 2, 1, tol=tol),
+             lambda tol: check_eps_bj(a, e12, 2, 1, eps=0.1, tol=tol),
+             lambda tol: check_eps_bj(a, e12, 2, 1, eps=0.1, mode="real", tol=tol),
+             lambda tol: check_parallel(a, e12, 2, 1, tol=tol),
+             lambda tol: subspace_certificate(a, sub, 2, 1, tol=tol),
+             lambda tol: verify_certificate(a, sub, 2, 1, cert, tol=tol),
+             lambda tol: membership(a, 2, 1, canonical_extreme(descriptor(a, 2, 1)), tol=tol),
+             lambda tol: certify_best(a, sub, NormSpec.kyfan(2, 1), np.zeros((2, 2)), cert_tol=tol)]
+    for call in calls:
+        call(0.0)
+        for tol in (float("nan"), -1.0, float("inf"), -0.0 - 1e-300):
+            with pytest.raises(InvalidInputError):
+                call(tol)
 
 
 def test_check_bj_knowns():
@@ -174,7 +256,7 @@ def test_refutation_matches_golden_section_in_fewer_svds(rng, monkeypatch):
                 continue
             spec = NormSpec.kyfan(p, k)
             na = norm(a, spec)
-            direction = np.exp(-1j * res.inner.theta_min)
+            direction = res.refuting_lambda / abs(res.refuting_lambda)
             _, oracle = golden_min(lambda s: norm(a + s * direction * b, spec),
                                    0.0, 2.0 * na / norm(b, spec))
             assert res.refuting_norm < na, (t, p)
