@@ -48,9 +48,9 @@ def main():
     print("\ncertificate for diag(0.5, 1, -1) vs span{diag(0,1,1)}, spectral norm:")
     print("  feasible =", cert.feasible)
     print("  T_1 =\n", np.round(cert.T_list[0].real, 6))
-    print("  residual_perp %.2e, residual_eig %.2e, dual norm %.12f"
-          % (cert.residual_perp, cert.residual_eig, cert.dual_norm_bound))
     ok, rep = verify_certificate(a, sub, 2.0, 1, cert)
+    print("  residual_perp %.2e, residual_eig %.2e, dual norm %.12f"
+          % (cert.residual_perp, rep["residual_eig"], rep["dual_norm_bound"]))
     print("  independent verification:", ok,
           "(pairing Re tr(G* A) = %.12f)" % rep["pairing"])
     print("  norm of A:", norm(a, NormSpec.spectral()))

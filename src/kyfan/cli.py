@@ -300,10 +300,10 @@ def _cmd_ortho_subspace(args):
     cert = subspace_certificate(a, sub, p, k, tol=args.tol)
     ok, report = verify_certificate(a, sub, p, k, cert)
     _emit({"feasible": cert.feasible,
-           "residual_eig": cert.residual_eig,
+           "residual_eig": report["residual_eig"],
            "residual_perp": cert.residual_perp,
            "residual_lower": cert.residual_lower,
-           "dual_norm_bound": cert.dual_norm_bound,
+           "dual_norm_bound": report["dual_norm_bound"],
            "iterations": cert.iterations,
            "density_matrices": [matrix_json(t) for t in cert.T_list],
            "verified": ok,
@@ -427,7 +427,17 @@ def build_parser():
                     "spectral approximation, and p-sweep experiments.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, norm_flag=True, tol_default=None):
+    def command(group, name, fn, summary, files=("matrix",), norm_flag=True, tol_default=None,
+                solver=False):
+        """A subcommand taking --<file> for each of files, and the shared flags."""
+        sp = group.add_parser(name, help=summary)
+        for flag in files:
+            sp.add_argument("--" + flag, required=True)
+        if solver:
+            sp.add_argument("--starts", type=int, default=12,
+                            help="multi-start count (default 12)")
+            sp.add_argument("--max-iter", type=int, default=150,
+                            help="subgradient iterations per start (default 150)")
         sp.add_argument("--seed", type=int, default=42,
                         help="seed for all randomized pieces (default 42)")
         if tol_default is not None:
@@ -438,102 +448,47 @@ def build_parser():
         if norm_flag:
             sp.add_argument("--norm", required=True,
                             help="kyfan:p=..,k=.. | spectral | schatten:p=.. | trace")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    def solver_flags(sp):
-        sp.add_argument("--starts", type=int, default=12,
-                        help="multi-start count (default 12)")
-        sp.add_argument("--max-iter", type=int, default=150,
-                        help="subgradient iterations per start (default 150)")
-
-    sp = sub.add_parser("norm", help="evaluate a norm")
-    sp.add_argument("--matrix", required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_norm)
-
-    sp = sub.add_parser("dual", help="evaluate the dual norm")
-    sp.add_argument("--matrix", required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_dual)
-
-    sp = sub.add_parser("subdiff", help="subdifferential descriptor (p >= 2)")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--samples", type=int, default=3,
-                    help="number of sampled extreme points (default 3)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_subdiff)
-
-    sp = sub.add_parser("dirderiv", help="one-sided directional derivative")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--direction", required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_dirderiv)
+    command(sub, "norm", _cmd_norm, "evaluate a norm")
+    command(sub, "dual", _cmd_dual, "evaluate the dual norm")
+    command(sub, "subdiff", _cmd_subdiff, "subdifferential descriptor (p >= 2)").add_argument(
+        "--samples", type=int, default=3, help="number of sampled extreme points (default 3)")
+    command(sub, "dirderiv", _cmd_dirderiv, "one-sided directional derivative",
+            ("matrix", "direction"))
 
     ortho = sub.add_parser("ortho", help="Birkhoff-James orthogonality checks")
     osub = ortho.add_subparsers(dest="ortho_command", required=True)
-
-    sp = osub.add_parser("bj", help="orthogonality to a matrix")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--other", required=True)
-    common(sp, tol_default=1e-8)
-    sp.set_defaults(fn=_cmd_ortho_bj)
-
-    sp = osub.add_parser("eps", help="approximate (epsilon) orthogonality")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--other", required=True)
+    pair = ("matrix", "other")
+    command(osub, "bj", _cmd_ortho_bj, "orthogonality to a matrix", pair, tol_default=1e-8)
+    sp = command(osub, "eps", _cmd_ortho_eps, "approximate (epsilon) orthogonality", pair,
+                 tol_default=1e-8)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--mode", choices=["complex", "real"], default="complex")
-    common(sp, tol_default=1e-8)
-    sp.set_defaults(fn=_cmd_ortho_eps)
+    command(osub, "parallel", _cmd_ortho_parallel, "norm parallelism", pair, tol_default=1e-8)
+    with_sub = ("matrix", "subspace")
+    command(osub, "subspace", _cmd_ortho_subspace,
+            "orthogonality to a subspace with a density-matrix certificate (the "
+            "subgradient nearest to the complement; residual_lower > tol proves there "
+            "is none)", with_sub, tol_default=1e-9)
 
-    sp = osub.add_parser("parallel", help="norm parallelism")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--other", required=True)
-    common(sp, tol_default=1e-8)
-    sp.set_defaults(fn=_cmd_ortho_parallel)
-
-    sp = osub.add_parser("subspace", help="orthogonality to a subspace with a "
-                                          "density-matrix certificate (the subgradient "
-                                          "nearest to the complement; residual_lower "
-                                          "> tol proves there is none)")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--subspace", required=True)
-    common(sp, tol_default=1e-9)
-    sp.set_defaults(fn=_cmd_ortho_subspace)
-
-    sp = sub.add_parser("approx", help="best approximation from a subspace")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--subspace", required=True)
+    sp = command(sub, "approx", _cmd_approx, "best approximation from a subspace", with_sub,
+                 solver=True)
     sp.add_argument("--certify", action="store_true",
                     help="attach a subdifferential optimality certificate")
     sp.add_argument("--cert-tol", type=float, default=CERT_TOL,
                     help="certificate projection tolerance (default 1e-7)")
-    solver_flags(sp)
-    common(sp)
-    sp.set_defaults(fn=_cmd_approx)
-
-    sp = sub.add_parser("strict", help="strict spectral approximation")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--subspace", required=True)
-    solver_flags(sp)
-    common(sp, norm_flag=False)
-    sp.set_defaults(fn=_cmd_strict)
-
-    sp = sub.add_parser("sweep", help="Schatten-p sweep toward the strict "
-                                      "approximant")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--subspace", required=True)
+    command(sub, "strict", _cmd_strict, "strict spectral approximation", with_sub,
+            norm_flag=False, solver=True)
+    sp = command(sub, "sweep", _cmd_sweep, "Schatten-p sweep toward the strict approximant",
+                 with_sub, norm_flag=False, solver=True)
     sp.add_argument("--pmax", type=float, default=1024.0,
                     help="largest p in the geometric grid (default 1024)")
     sp.add_argument("--out", default=None, help="write records as CSV here")
-    solver_flags(sp)
-    common(sp, norm_flag=False)
-    sp.set_defaults(fn=_cmd_sweep)
-
-    sp = sub.add_parser("counterexample", help="run the fixed 3x3 instance")
-    sp.add_argument("--out", default=None, help="write sweep records as CSV here")
-    solver_flags(sp)
-    common(sp, norm_flag=False)
-    sp.set_defaults(fn=_cmd_counterexample)
+    command(sub, "counterexample", _cmd_counterexample, "run the fixed 3x3 instance", (),
+            norm_flag=False, solver=True).add_argument(
+        "--out", default=None, help="write sweep records as CSV here")
 
     return top
 

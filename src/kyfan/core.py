@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,17 +151,22 @@ class MatrixSubspace:
         elif self.shape is None:
             raise InvalidInputError("empty basis needs an explicit shape")
         self.shape = tuple(self.shape)
-        self._check_independent()
-        self._onb_flat = flat = self._orthonormalize()
+        flat = np.array(self.basis, dtype=complex).reshape(len(self.basis), math.prod(self.shape))
+        # the tests run on the basis over the power of two below its largest entry
+        # modulus: the Gram matrix neither under- nor overflows, and no bit changes
+        s = float(np.abs(flat).max(initial=0.0))
+        if 0.0 < s < math.inf:
+            flat = flat / math.ldexp(1.0, math.frexp(s)[1] - 1)
+        self._check_independent(flat)
+        self._onb_flat = flat = self._orthonormalize(flat)
         self.onb = flat.reshape((len(flat),) + self.shape)
         if self.field == "complex":
             flat = np.stack([flat, 1j * flat], axis=1).reshape(2 * len(flat), flat.shape[1])
         self.rows = flat
 
-    def _check_independent(self):
-        if not self.basis:
+    def _check_independent(self, b):
+        if not len(b):
             return
-        b = np.array(self.basis).reshape(len(self.basis), -1)
         gram = b.conj() @ b.T  # gram[i, j] = tr(b_i* b_j)
         if self.field == "real":
             # real-span independence: Gram of Re-inner products on the realified space
@@ -170,10 +176,10 @@ class MatrixSubspace:
         if w[0] < 1e-12 * scale:
             raise InvalidInputError("basis is not linearly independent over the %s field" % self.field)
 
-    def _orthonormalize(self):
-        onb = np.zeros((0, int(np.prod(self.shape))), dtype=complex)
-        for b in self.basis:
-            v = b.ravel()
+    def _orthonormalize(self, flat):
+        onb = np.zeros((0, flat.shape[1]), dtype=complex)
+        for b in flat:
+            v = b
             for _ in range(2):  # two passes for orthogonality at machine precision
                 c = onb.conj() @ v
                 v = v - (c.real if self.field == "real" else c) @ onb

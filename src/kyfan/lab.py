@@ -29,6 +29,9 @@ class SweepRecord:
 
 
 def default_p_grid(p_max=1024.0):
+    """The powers of two from 2 up to p_max, which must be finite."""
+    if not np.isfinite(p_max):
+        raise InvalidInputError("p_max must be finite, got %r" % (p_max,))
     grid = []
     p = 2.0
     while p <= p_max:

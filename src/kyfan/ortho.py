@@ -12,7 +12,9 @@ from the planar support function h(theta) = max Re(e^{-i theta} t), a top-r
 eigensum per direction.  Each check refines only the extreme it reads: the
 best of 256 directions starts an Illinois secant on h'.  A true BJ verdict
 carries a witness: the subgradient G nearest to tr(G* B) = 0, found by
-face_min_norm with S = span_C{B}.  A false one carries a refuting lambda: the
+face_min_norm with S = span_C{B}, and is given only when that search reaches
+the threshold; when it proves 0 far from T instead, its nearest point's
+direction restarts the secant.  A false verdict carries a refuting lambda: the
 minimizer of ||A + s e^{-i theta} B|| along the ray of steepest descent, found
 by the same secant on its slope Re tr(G* e^{-i theta} B), with G the
 closed-form extreme subgradient from one SVD per point.
@@ -75,8 +77,14 @@ class InnerRange:
     def extreme(self, sign):
         """(theta, h(theta), t) where sign * h is largest, t attaining h(theta):
         sign = -1 gives dist(0, T) = max(0, -h), sign = 1 gives h = max |t| over
-        T (T is convex).  The best of 256 directions starts a secant on h'
-        within +-1 grid step of it."""
+        T (T is convex).  The secant refines the best of 256 directions."""
+        if self.mb is None:
+            return self._refine(sign, 0.0)
+        grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+        return self._refine(sign, grid[np.argmax(sign * self.support(grid))])
+
+    def _refine(self, sign, mid):
+        """extreme's secant on h', started within +-1 grid step of mid."""
         if self.mb is None:
             t = self.fixed_part
             return float(np.angle(sign * t)), sign * abs(t), t
@@ -86,13 +94,11 @@ class InnerRange:
             z = -sign * np.exp(-1j * theta) * t
             return float(z.real), float(z.imag), abs(t), t
 
-        grid = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-        mid = grid[np.argmax(sign * self.support(grid))]
-        lo, hi = mid - grid[1], mid + grid[1]
+        lo, hi = mid - 2 * np.pi / 256, mid + 2 * np.pi / 256
         at_lo, at_hi = point(lo), point(hi)
         if at_lo[1] < 0.0 <= at_hi[1]:
             theta, val, t = _secant(point, lo, hi, at_lo, at_hi)
-        else:  # h' keeps its sign at the ends, both ranked below mid by the scan
+        else:  # h' keeps its sign at the ends: keep mid, the scan's best or a face's direction
             theta, (val, _, _, t) = mid, point(mid)
         return float(theta), -sign * val, t
 
@@ -109,6 +115,27 @@ def inner_range(a, b, p, k):
         raise InvalidInputError("inner_range needs A != 0")
     fixed, mb = pairing_range_parts(desc, b)
     return InnerRange(fixed_part=complex(fixed), singleton=desc.singleton, desc=desc, mb=mb)
+
+
+def _lowest(rng_obj, b, threshold, witness):
+    """(theta, h, face): the lowest h found, and face_min_norm's G nearest to
+    tr(G* b) = 0.  -h <= threshold decides dist(0, T) <= threshold.  The scan
+    bounds dist(0, T) >= -h, exactly for a singleton T; else the face search
+    over span_C{b} (down to the scan's -h for a witness) looks for a point of T
+    within threshold, and if it stops above, the secant restarts from the
+    direction -t of its last point t, where -h is the search's lower bound.
+    """
+    theta, h, _ = rng_obj.extreme(-1)
+    if -h > threshold or (rng_obj.mb is None and not witness):
+        return theta, h, None
+    nb = float(np.linalg.norm(b))
+    span = MatrixSubspace([b / nb] if nb > 0.0 else [], "complex", shape=b.shape)
+    target = max(0.0, -h) if witness else threshold
+    face = face_min_norm(rng_obj.desc, span.rows, tol=target / nb if span.dim else 0.0)
+    if face.residual * nb > threshold:
+        found = rng_obj._refine(-1, float(np.angle(-np.vdot(face.g, b))))
+        theta, h, _ = min((theta, h, None), found, key=lambda x: x[1])
+    return theta, h, face
 
 
 def _secant(point, lo, hi, at_lo, at_hi):
@@ -152,11 +179,13 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     True iff min |t| over T is <= tol ||b||_F, so that the verdict, like
     orthogonality itself, does not change under b -> cb.  A true verdict
     carries a witness: the subgradient G at a nearest to tr(G* b) = 0
-    (face_min_norm over span_C{b}).  A false one carries a refuting lambda
-    with ||a + lambda b|| < ||a||: the minimizer along the ray of steepest
-    descent e^{-i theta} b, theta where T's support function is lowest, found
-    by the secant on the slope of s -> ||a + s e^{-i theta} b||.  The
-    decision is deterministic; seed is accepted for the shared check signature.
+    (face_min_norm over span_C{b}); one above the threshold turns the verdict
+    false unless no direction has -h above it either (_lowest).  A false one
+    carries a refuting lambda with ||a + lambda b|| < ||a||: the minimizer
+    along the ray of steepest descent e^{-i theta} b, theta where T's support
+    function is lowest, found by the secant on the slope of
+    s -> ||a + s e^{-i theta} b||.  The decision is deterministic; seed is
+    accepted for the shared check signature.
     """
     tol = tolerance(tol)
     a, b = matrix_pair(a, b)
@@ -166,14 +195,11 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
         # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
         return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, InnerRange(0.0, True))
     rng_obj = inner_range(a, b, p, k)
-    theta, h_min, _ = rng_obj.extreme(-1)
-    min_abs = max(0.0, -h_min)
     nb = float(np.linalg.norm(b))
+    theta, h_min, face = _lowest(rng_obj, b, tol * nb, witness=True)
+    min_abs = max(0.0, -h_min)
     if min_abs <= tol * nb:
-        span = MatrixSubspace([b / nb] if nb > 0.0 else [], "complex", shape=b.shape)
-        face = face_min_norm(rng_obj.desc, span.rows, tol=min_abs / nb if span.dim else 0.0)
-        resid = float(abs(np.vdot(face.g, b)))
-        return BjResult(True, min_abs, face.g, resid, None, None, rng_obj)
+        return BjResult(True, min_abs, face.g, float(abs(np.vdot(face.g, b))), None, None, rng_obj)
 
     # refute along d b, d = e^{-i theta}: phi(s) = ||a + s d b|| is convex with
     # slope -min_abs < 0 at 0 and phi(hi) >= ||a|| at hi = 2||a||/||b||, so a slope
@@ -219,13 +245,13 @@ def check_eps_bj(a, b, p, k, eps, mode="complex", tol=1e-8, seed=0):
     if not np.any(a):
         return EpsBjResult(True, eps, mode, 0.0, eps * nb, InnerRange(0.0, True))
     rng_obj = inner_range(a, b, p, k)
+    threshold = eps * nb + tol * float(np.linalg.norm(b))
     if mode == "complex":
-        attained = max(0.0, -rng_obj.extreme(-1)[1])
+        attained = max(0.0, -_lowest(rng_obj, b, threshold, witness=False)[1])
     else:
         lo, hi = rng_obj.real_interval()
         attained = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    return EpsBjResult(attained <= eps * nb + tol * float(np.linalg.norm(b)), eps, mode,
-                       attained, eps * nb, rng_obj)
+    return EpsBjResult(attained <= threshold, eps, mode, attained, eps * nb, rng_obj)
 
 
 @dataclass
@@ -270,11 +296,8 @@ def check_parallel(a, b, p, k, tol=1e-8, seed=0):
 class DensityCertificate:
     feasible: bool
     T_list: list
-    residual_eig: float
-    residual_perp: float
-    dual_norm_bound: float
+    residual_perp: float      # ||P_S G||_F at the search's last point
     iterations: int
-    certificate_matrix: np.ndarray | None
     residual_lower: float     # no certificate reaches below it: > tol proves infeasibility
 
 
@@ -285,9 +308,10 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     A*A, and prefactor * sum_i T_i must land in the orthogonal complement of the
     subspace.  face_min_norm finds the subgradient nearest to that complement
     within max_iter oracle calls: the T_i are the rank-one eigenprojectors of
-    the full blocks and Q / r for each index of the boundary block.  Feasible
-    when its projection on the subspace is <= tol; residual_lower > tol proves
-    that no certificate exists.  The other residuals are verify_certificate's.
+    the full blocks and Q / r for each index of the boundary block.  The
+    certificate carries the search's evidence only: feasible when its residual
+    ||P_S G||_F is <= tol, and residual_lower > tol proves that no certificate
+    exists.  verify_certificate re-checks the T_i from scratch.
     """
     tol = tolerance(tol)
     a = matrix_in(a, subspace)
@@ -297,20 +321,30 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     if desc.boundary is not None:
         zb, r = desc.boundary.basis, desc.boundary.required
         t_list += [zb @ face.q @ zb.conj().T / r] * r
-    rep, cert = _density_report(a, subspace, desc, t_list)
-    return DensityCertificate(
-        feasible=rep["residual_perp"] <= tol, T_list=t_list, residual_eig=rep["residual_eig"],
-        residual_perp=rep["residual_perp"], dual_norm_bound=rep["dual_norm_bound"],
-        iterations=face.iterations, certificate_matrix=cert, residual_lower=face.lower)
+    return DensityCertificate(feasible=face.residual <= tol, T_list=t_list,
+                              residual_perp=face.residual, iterations=face.iterations,
+                              residual_lower=face.lower)
 
 
-def _density_report(a, subspace, desc, t_list):
-    """The report of verify_certificate on the T_i at a, and G = prefactor sum_i T_i:
-    psd_ok, trace_ok, residual_eig (largest ||A*A T_i - sigma_i^2 T_i||_F),
-    residual_perp (||P_S G||_F), dual_norm_bound and pairing (Re tr(G* a))."""
+def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
+    """Re-check a density certificate from scratch; returns (ok, report).
+
+    With G = prefactor sum_i T_i, ok requires each T_i PSD with unit trace
+    (psd_ok, trace_ok), residual_eig (the largest ||A*A T_i - sigma_i^2 T_i||_F)
+    and residual_perp (||P_S G||_F) <= tol, dual_norm_bound (of G) <= 1 + tol
+    and pairing Re tr(G* a) >= ||a|| - tol max(1, ||a||).  By Hoelder, ok proves
+    ||a + Y|| >= (||a|| - tol max(1, ||a||) - tol ||Y||_F) / (1 + tol) for every
+    Y in the subspace.  T_list must hold k matrices of shape n x n; the check
+    is deterministic, and seed is accepted for the shared check signature.
+    """
+    tol = tolerance(tol)
+    a = matrix_in(a, subspace)
+    if len(cert.T_list) != k or any(np.shape(t) != a.shape[1:] * 2 for t in cert.T_list):
+        raise InvalidInputError("a certificate holds k = %d matrices of shape %r" % (k, a.shape[1:] * 2))
+    desc = descriptor(a, p, k)  # one SVD serves sigma, ||a|| and the prefactor
     if desc.at_zero:
         raise InvalidInputError("density certificates need A != 0")
-    ts = np.array(t_list)
+    ts = np.array(cert.T_list)
     w = np.linalg.eigvalsh((ts + ts.conj().transpose(0, 2, 1)) / 2.0)
     tr = np.trace(ts, axis1=1, axis2=2)
     resid = a.conj().T @ a @ ts - desc.sigma[:len(ts), None, None] ** 2 * ts
@@ -323,25 +357,6 @@ def _density_report(a, subspace, desc, t_list):
         "dual_norm_bound": dual_norm(g, NormSpec.kyfan(desc.p, desc.k)),
         "pairing": float(np.vdot(g, a).real),
     }
-    return report, g
-
-
-def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
-    """Re-check a density certificate from scratch; returns (ok, report).
-
-    With G = prefactor sum_i T_i, ok requires each T_i PSD with unit trace,
-    eigenspace residuals and ||P_S G||_F <= tol, dual norm of G <= 1 + tol and
-    pairing Re tr(G* a) >= ||a|| - tol max(1, ||a||).  By Hoelder, ok proves
-    ||a + Y|| >= (||a|| - tol max(1, ||a||) - tol ||Y||_F) / (1 + tol) for every
-    Y in the subspace.  T_list must hold k matrices of shape n x n; the check
-    is deterministic, and seed is accepted for the shared check signature.
-    """
-    tol = tolerance(tol)
-    a = matrix_in(a, subspace)
-    if len(cert.T_list) != k or any(np.shape(t) != a.shape[1:] * 2 for t in cert.T_list):
-        raise InvalidInputError("a certificate holds k = %d matrices of shape %r" % (k, a.shape[1:] * 2))
-    desc = descriptor(a, p, k)  # one SVD serves sigma, ||a|| and the prefactor
-    report, _ = _density_report(a, subspace, desc, cert.T_list)
     ok = (report["psd_ok"] and report["trace_ok"] and report["residual_eig"] <= tol
           and report["residual_perp"] <= tol and report["dual_norm_bound"] <= 1.0 + tol
           and report["pairing"] >= desc.norm_value - tol * max(1.0, desc.norm_value))

@@ -201,10 +201,10 @@ def test_criterion_5_subspace_certificates(report):
         a2 = a - y.y
         # target 5e-8: inside the 1e-7 budget, above the solver's ~1e-8 gap
         cert = subspace_certificate(a2, sub, p, k, tol=5e-8)
-        vok, _ = verify_certificate(a2, sub, p, k, cert, tol=1e-7)
-        worst_perp = max(worst_perp, cert.residual_perp)
-        worst_eig = max(worst_eig, cert.residual_eig)
-        worst_dual = max(worst_dual, cert.dual_norm_bound - 1.0)
+        vok, rep = verify_certificate(a2, sub, p, k, cert, tol=1e-7)
+        worst_perp = max(worst_perp, rep["residual_perp"])
+        worst_eig = max(worst_eig, rep["residual_eig"])
+        worst_dual = max(worst_dual, rep["dual_norm_bound"] - 1.0)
         worst_gap = min(worst_gap, sampled_direction_gap(a2, sub, p, k, samples=20, seed=i))
         if not (cert.feasible and vok):
             all_ok = False

@@ -521,6 +521,13 @@ def test_sweep_payload_and_csv(capsys, files, tmp_path):
     assert len([l for l in lines if l]) == 3  # header + 2 records
 
 
+def test_sweep_rejects_a_non_finite_pmax(capsys, files):
+    for pmax in ("inf", "-inf", "nan", "1"):
+        code, out, _ = run(capsys, "sweep", "--matrix", files["ce_a"],
+                           "--subspace", files["sub_x"], "--pmax=" + pmax)
+        assert code == 2 and out == "", pmax
+
+
 def test_counterexample_deterministic_stdout(capsys, files, tmp_path):
     out_csv = tmp_path / "ce.csv"
     argv = ["counterexample", "--starts", "5", "--max-iter", "80", "--seed", "3",

@@ -225,6 +225,29 @@ def test_subspace_rejects_dependent_and_mixed_shapes():
         MatrixSubspace([np.eye(2)], field="rational")
 
 
+def test_subspace_validation_is_scale_free(rng):
+    # the basis {c I, c diag(1, -1)} is orthogonal at every c; its Gram matrix
+    # underflows below c = 1e-160 and overflows above 1e160
+    bases = [([np.eye(2), np.diag([1.0, -1.0])], "complex"),
+             ([rand_complex(rng, 3, 2) for _ in range(3)], "complex"),
+             ([np.eye(2), 1j * np.eye(2)], "real"),
+             ([np.eye(2), 1j * np.eye(2)], "complex"),
+             ([np.eye(2), np.diag([1.0, 1.0 + 1e-14])], "complex")]
+    for t, (basis, field) in enumerate(bases):
+        try:
+            want = MatrixSubspace(basis, field=field)
+        except InvalidInputError:
+            want = None
+        for c in 10.0 ** np.arange(-300, 301, 25):
+            if want is None:
+                with pytest.raises(InvalidInputError):
+                    MatrixSubspace([c * b for b in basis], field=field)
+                continue
+            sub = MatrixSubspace([c * b for b in basis], field=field)
+            assert sub.dim == want.dim, (t, c)
+            assert np.max(np.abs(sub.onb - want.onb)) <= 1e-14, (t, c)
+
+
 def test_empty_subspace_with_shape():
     sub = MatrixSubspace([], field="complex", shape=(2, 2))
     assert sub.dim == 0

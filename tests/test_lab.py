@@ -24,6 +24,9 @@ from kyfan.solvers import GAP_TOL
 def test_default_p_grid():
     assert default_p_grid() == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
     assert default_p_grid(16.0) == [2.0, 4.0, 8.0, 16.0]
+    for p_max in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            default_p_grid(p_max)  # p *= 2 never passes an infinite p_max
 
 
 @pytest.fixture(scope="module")

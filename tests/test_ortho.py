@@ -123,6 +123,37 @@ def test_searches_scan_once_and_only_where_read(rng, monkeypatch):
             assert stacks == [(256,)], (p, check.__name__, stacks)
 
 
+def test_extremes_where_h_is_flat():
+    # A = I2, B = E12: T is the disk of radius 1/2 at 0 and h = 1/2 in every
+    # direction, so h' changes sign at neither end of either search's bracket
+    e12 = E21.T
+    r = inner_range(np.eye(2), e12, 2, 1)
+    for sign in (-1, 1):
+        _, h, t = r.extreme(sign)
+        assert abs(h - 0.5) <= 1e-15 and abs(abs(t) - 0.5) <= 1e-15, sign
+    bj = check_bj(np.eye(2), e12, 2, 1)
+    assert bj.orthogonal and bj.min_abs == 0.0
+    assert bj.witness is not None and bj.witness_residual <= 1e-8
+    assert abs(check_parallel(np.eye(2), e12, 2, 1).max_abs - 0.5) <= 1e-15
+
+
+def test_a_negative_arc_between_scan_directions_is_refuted():
+    # T is a segment at distance delta from 0 whose arc of h < 0, about 1e-3 rad
+    # wide, falls between two of the 256 scan directions: the scan sees h >= 0,
+    # the face search proves 0 not in T, and its nearest point's direction refutes
+    a = np.eye(2)
+    spec = NormSpec.kyfan(2, 1)
+    for delta in (1e-6, 1e-7):
+        b = np.exp(-0.1j * 2 * np.pi / 256) * np.diag([delta - 1j, delta + 1e-3j])
+        res = check_bj(a, b, 2, 1)
+        assert not res.orthogonal and res.witness is None, delta
+        assert 0.9 * delta <= res.min_abs <= delta, delta
+        assert res.refuting_norm < 1.0 and norm(a + res.refuting_lambda * b, spec) < 1.0, delta
+        eps0 = check_eps_bj(a, b, 2, 1, eps=0.0)
+        assert not eps0.satisfied and eps0.attained == res.min_abs, delta
+        assert check_eps_bj(a, b, 2, 1, eps=2 * delta).satisfied, delta
+
+
 def test_tolerances_are_validated_at_the_boundary():
     # a NaN tolerance used to flip verdicts, a negative one to refute with a
     # lambda that raises the norm
@@ -395,12 +426,39 @@ def test_certificate_hand_example():
     assert cert.feasible
     assert len(cert.T_list) == 1
     assert np.max(np.abs(cert.T_list[0] - np.diag([0.0, 0.5, 0.5]))) <= 1e-6
-    assert cert.residual_eig <= 1e-8
     assert cert.residual_perp <= 1e-8
-    assert cert.dual_norm_bound <= 1.0 + 1e-8
     ok, report = verify_certificate(a, sub, 2, 1, cert)
     assert ok, report
+    assert report["residual_eig"] <= 1e-8
+    assert report["residual_perp"] <= 1e-8
+    assert report["dual_norm_bound"] <= 1.0 + 1e-8
     assert sampled_direction_gap(a, sub, 2, 1) >= -1e-9
+
+
+def test_subspace_certificate_makes_one_svd_and_no_report(rng, monkeypatch):
+    # the descriptor's SVD and the face search are all of it: the PSD, trace,
+    # eigenspace and dual-norm checks are verify_certificate's
+    import kyfan.ortho as ortho
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for a, p, k in [(np.diag([0.5, 1.0, -1.0]), 2, 1), (rand_complex(rng, 3, 4), 3, 2),
+                    (np.diag([2.0, 1.0, 1.0, 0.5]), 2, 2)]:
+        g = canonical_extreme(descriptor(a, p, k))
+        for field in ("real", "complex"):
+            sub = MatrixSubspace([orthogonal_to(rng, g)], field=field)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+                m.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+                m.setattr(ortho, "dual_norm", counting("dual_norm", ortho.dual_norm))
+                counts.clear()
+                cert = subspace_certificate(a, sub, p, k)
+            assert cert.feasible and counts == {"svd": 1}, (a.shape, p, k, field, counts)
 
 
 def test_certificate_zero_subspace(rng):
@@ -502,9 +560,10 @@ def test_certificate_respects_the_fantope():
     # ||A - diag(1, 0, 0)|| = 1.118 < ||A|| = 1.414.
     a = np.diag([1.0, 1.0, 0.5])
     e = np.diag([1.0, 0.0, 0.0])
-    cert = subspace_certificate(a, MatrixSubspace([e], field="complex"), p=2, k=2)
+    sub = MatrixSubspace([e], field="complex")
+    cert = subspace_certificate(a, sub, p=2, k=2)
     assert not cert.feasible
-    assert cert.dual_norm_bound <= 1.0 + 1e-12
+    assert verify_certificate(a, sub, 2, 2, cert)[1]["dual_norm_bound"] <= 1.0 + 1e-12
     assert cert.residual_lower > 1e-9  # no certificate exists
     assert not check_bj(a, e, 2, 2).orthogonal
 
