@@ -161,7 +161,7 @@ def pin_map(res, subspace, cert):
         ug, tau, vgh = np.linalg.svd(cert.f_matrix)
         rank = int(np.sum(tau > RANK_TOL * tau[0]))
         u, v = ug[:, :rank], vgh[:rank].conj().T
-        p, k = subdiff_pk(res.spec, min(m, n))
+        p, k = res.spec.resolve(min(m, n))
         values = np.full(rank, res.value) if k == 1 else np.maximum(
             res.value * tau[:rank] ** (1.0 / (p - 1.0)), res.sigma[k - 1])
     rows = subspace.rows.reshape((-1,) + r.shape)
@@ -187,7 +187,8 @@ class UniquenessProbe:
 def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     """Decide uniqueness of the best (p, k)-approximation from span{X}.
 
-    Predicted unique when rank(X) > n - k (columns n).  One best_approx solve
+    Predicted unique when rank(X) > n - k (columns n, k resolved: 1 for a
+    norm that is sigma_1).  One best_approx solve
     from trials starts is certified and its pin_map decides: every minimizer
     lies in the certified point plus the null space, so a null space of 0
     proves it unique (spread 0).  Otherwise trials chords through the point,
@@ -195,7 +196,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     bisected where the value reaches f (1 + GAP_TOL); spread is the largest
     distance between two chord ends, a lower bound on the diameter of that
     level set.  violation is set when a predicted-unique instance spreads
-    beyond 1e-5.  p < 2 raises UnsupportedError, as certify_best does.
+    beyond 1e-5.  p < 2 at k >= 2 raises UnsupportedError, as certify_best does.
     """
     a, x = matrix_pair(a, x)
     sx = np.linalg.svd(x, compute_uv=False)
@@ -204,8 +205,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
         raise InvalidInputError("X must be nonzero")
     spec = NormSpec.kyfan(p, k)
     n0 = min(a.shape)
-    subdiff_pk(spec, n0)  # p < 2 raises before the solve
-    predicted = rank_x > a.shape[1] - spec.resolve(n0)[1]
+    predicted = rank_x > a.shape[1] - subdiff_pk(spec, n0)[1]  # p < 2 raises before the solve
 
     sub = MatrixSubspace([x], field="complex")
     res = best_approx(a, sub, spec, starts=trials, seed=seed)
@@ -382,22 +382,24 @@ def pk_singular_value_check(a, subspace, p, k, gap_tol=1e-6, seed=0, starts=10, 
     sigma_1..sigma_k of them all.  applicable: the residual shows a gap
     sigma_k > sigma_{k+1} + gap_tol; max_deviation: the solve's own
     sigma_1..sigma_k against the pinned ones; passed: not applicable, or all
-    k are pinned and within 1e-6 of the solve's.  p < 2 raises UnsupportedError.
+    k are pinned and within 1e-6 of the solve's.  k is resolved: a norm that
+    is sigma_1 checks k = 1, the value its certificate pins.  p < 2 at k >= 2
+    raises UnsupportedError, also without a solve.
     """
     a = matrix_in(a, subspace)
     spec = NormSpec.kyfan(p, k)
-    _, k_eff = spec.resolve(min(a.shape))
+    k = subdiff_pk(spec, min(a.shape))[1]  # p < 2 raises before the solve
     if not subspace.dim:
         # no freedom: the one residual is A itself
         s = np.linalg.svd(a, compute_uv=False)
-        pinned, certified, value = s[:k_eff], True, float(norm(a, spec))
+        pinned, certified, value = s[:k], True, float(norm(a, spec))
     else:
         res = best_approx(a, subspace, spec, starts=starts, iters=iters, seed=seed)
         cert = certify_best(a, subspace, spec, res)
         s, value, certified = res.sigma, res.value, cert.found
-        pinned = np.sort(pin_map(res, subspace, cert).values)[::-1][:k_eff]
-    applicable = bool(s[k_eff - 1] > (s[k_eff] if k_eff < s.size else 0.0) + gap_tol)
+        pinned = np.sort(pin_map(res, subspace, cert).values)[::-1][:k]
+    applicable = bool(s[k - 1] > (s[k] if k < s.size else 0.0) + gap_tol)
     dev = float(np.max(np.abs(s[:pinned.size] - pinned), initial=0.0))
     return PkCheckReport(applicable=applicable, max_deviation=dev, gap_tol=gap_tol,
-                         passed=not applicable or (certified and pinned.size == k_eff and dev <= 1e-6),
+                         passed=not applicable or (certified and pinned.size == k and dev <= 1e-6),
                          sigma=s, value=value, pinned=pinned, certified=bool(certified))

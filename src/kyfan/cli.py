@@ -216,12 +216,10 @@ def _cmd_dual(args):
 
 def _cmd_subdiff(args):
     a = parse_matrix_file(args.matrix)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
-    desc = descriptor(a, p, k)
+    desc = descriptor(a, *subdiff_pk(parse_norm_spec(args.norm), min(a.shape)))
     payload = {
         "norm_value": desc.norm_value,
-        "p": p, "k": k,
+        "p": desc.p, "k": desc.k,
         "at_zero": desc.at_zero,
         "singleton": desc.singleton,
         "rank_deficient": desc.rank_deficient,
@@ -295,8 +293,7 @@ def _cmd_ortho_parallel(args):
 def _cmd_ortho_subspace(args):
     a = parse_matrix_file(args.matrix)
     sub = parse_subspace_file(args.subspace)
-    spec = parse_norm_spec(args.norm)
-    p, k = subdiff_pk(spec, min(a.shape))
+    p, k = subdiff_pk(parse_norm_spec(args.norm), min(a.shape))
     cert = subspace_certificate(a, sub, p, k, tol=args.tol)
     ok, report = verify_certificate(a, sub, p, k, cert)
     _emit({"feasible": cert.feasible,
@@ -453,7 +450,7 @@ def build_parser():
 
     command(sub, "norm", _cmd_norm, "evaluate a norm")
     command(sub, "dual", _cmd_dual, "evaluate the dual norm")
-    command(sub, "subdiff", _cmd_subdiff, "subdifferential descriptor (p >= 2)").add_argument(
+    command(sub, "subdiff", _cmd_subdiff, "subdifferential descriptor (p >= 2, or sigma_1)").add_argument(
         "--samples", type=int, default=3, help="number of sampled extreme points (default 3)")
     command(sub, "dirderiv", _cmd_dirderiv, "one-sided directional derivative",
             ("matrix", "direction"))

@@ -152,6 +152,8 @@ class MatrixSubspace:
             raise InvalidInputError("empty basis needs an explicit shape")
         self.shape = tuple(self.shape)
         flat = np.array(self.basis, dtype=complex).reshape(len(self.basis), math.prod(self.shape))
+        if not np.all(np.isfinite(flat)):
+            raise InvalidInputError("basis entries must be finite")
         # the tests run on the basis over the power of two below its largest entry
         # modulus: the Gram matrix neither under- nor overflows, and no bit changes
         s = float(np.abs(flat).max(initial=0.0))

@@ -6,7 +6,8 @@ class InvalidInputError(ValueError):
 
 
 class UnsupportedError(ValueError):
-    """The request is outside the supported parameter range (e.g. p < 2 subdifferentials)."""
+    """The request is outside the supported parameter range (e.g. subdifferentials at
+    p < 2 with k >= 2; every norm that is sigma_1 resolves to (2, 1) and is supported)."""
 
 
 class ParseError(ValueError):

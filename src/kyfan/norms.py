@@ -13,7 +13,7 @@ import numpy as np
 from .core import as_matrix
 from .errors import InvalidInputError
 
-# p beyond this behaves like the spectral norm in float64; callers get redirected
+# beyond this p the (p, k) norm is sigma_1 in float64: resolve gives it as (2, 1)
 P_CAP = 1e6
 
 
@@ -46,19 +46,21 @@ class NormSpec:
         return NormSpec("kyfan", 1.0, None)
 
     def resolve(self, n0):
-        """Concrete (p, k) for a matrix with n0 singular values."""
+        """Concrete (p, k) for a matrix with n0 singular values, the one pair every
+        layer reads: a norm that is sigma_1 (the spectral norm, k = 1 at any p,
+        n0 = 1, p > P_CAP) is (2.0, 1)."""
         if self.family == "spectral":
-            return None, 1
+            return 2.0, 1
         if self.family != "kyfan":
             raise InvalidInputError("unknown norm family %r" % self.family)
         p = self.p
-        if p is None or not np.isfinite(p) or p < 1:
+        if not 1 <= (p or 0) < np.inf:  # a missing p and nan fail too
             raise InvalidInputError("kyfan norm needs finite p >= 1")
         k = n0 if self.k is None else int(self.k)
         if not 1 <= k <= n0:
             raise InvalidInputError("k must lie in [1, %d], got %d" % (n0, k))
-        if p > P_CAP:
-            return None, k  # spectral limit; sum over top k degenerates to sigma_1
+        if k == 1 or p > P_CAP:
+            return 2.0, 1
         return p, k
 
     def label(self):
@@ -73,7 +75,7 @@ def _sigma_norm(sigma, p, k):
     # overflow-safe (sum sigma_i^p)^(1/p) on leading-axis stacks of sigma vectors
     top = sigma[..., :k]
     s1 = top[..., 0]
-    if p is None:  # spectral limit
+    if k == 1:  # sigma_1, the value the general path gives, without its powers
         return s1
     # a zero spectrum divides by 1 and gives 0
     scale = np.where(s1 > 0, s1, 1.0)
@@ -160,6 +162,6 @@ def dual_norm(g, spec):
     """max{ Re tr(G* X) : ||X||_spec <= 1 }, via the vector gauge dual."""
     d = np.linalg.svd(as_matrix(g), compute_uv=False)
     p, k = spec.resolve(d.size)
-    if p is None:  # spectral: dual gauge of the sup gauge is the full sum
+    if k == 1:  # sigma_1: one PAV block, the full sum
         return float(np.sum(d))
     return _dual_gauge(d, p, k)

@@ -1,4 +1,5 @@
-"""Birkhoff-James orthogonality for the Ky Fan (p,k) norms, p >= 2.
+"""Birkhoff-James orthogonality for the Ky Fan (p,k) norms, for p >= 2 and
+every norm that is sigma_1, which resolves to (2, 1) (NormSpec.resolve).
 
 A is BJ-orthogonal to B when ||A + z B|| >= ||A|| for every scalar z.  That
 holds iff some subgradient G at A has tr(G* B) = 0, so the decision reduces to
@@ -40,7 +41,7 @@ import numpy as np
 from .core import MatrixSubspace, matrix_in, matrix_pair, tolerance
 from .errors import InvalidInputError
 from .norms import NormSpec, _sigma_norm, dual_norm, extreme_subgradient, norm
-from .subdiff import descriptor, face_min_norm, pairing_range_parts, subdiff_pk, top_eigsum
+from .subdiff import descriptor, face_min_norm, pairing_range_parts, top_eigsum
 
 
 @dataclass
@@ -190,7 +191,7 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     tol = tolerance(tol)
     a, b = matrix_pair(a, b)
     spec = NormSpec.kyfan(p, k)
-    pf, kf = spec.resolve(min(a.shape))  # an invalid (p, k) raises here, also at a = 0
+    p, k = spec.resolve(min(a.shape))  # an invalid (p, k) raises here, also at a = 0
     if not np.any(a):
         # the zero matrix is orthogonal to everything; G = 0 is a subgradient there
         return BjResult(True, 0.0, np.zeros_like(a), 0.0, None, None, InnerRange(0.0, True))
@@ -204,13 +205,12 @@ def check_bj(a, b, p, k, tol=1e-8, seed=0):
     # refute along d b, d = e^{-i theta}: phi(s) = ||a + s d b|| is convex with
     # slope -min_abs < 0 at 0 and phi(hi) >= ||a|| at hi = 2||a||/||b||, so a slope
     # >= 0 there.  The slope is Re tr(G* d b), G the extreme subgradient at a + s d b.
-    pe, ke = subdiff_pk(spec, min(a.shape))
     d = np.exp(-1j * theta)
 
     def point(s):
         u, sv, vh = np.linalg.svd(a + s * d * b, full_matrices=False)
-        f = float(_sigma_norm(sv, pf, kf))
-        return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, pe, ke), d * b).real), f, None
+        f = float(_sigma_norm(sv, p, k))
+        return f, float(np.vdot(extreme_subgradient(u, sv, vh, f, p, k), d * b).real), f, None
 
     na, hi = rng_obj.desc.norm_value, 2.0 * rng_obj.desc.norm_value / norm(b, spec)
     lam = _secant(point, 0.0, hi, (na, -min_abs, na, None), point(hi))[0] * d
@@ -334,16 +334,16 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
     and residual_perp (||P_S G||_F) <= tol, dual_norm_bound (of G) <= 1 + tol
     and pairing Re tr(G* a) >= ||a|| - tol max(1, ||a||).  By Hoelder, ok proves
     ||a + Y|| >= (||a|| - tol max(1, ||a||) - tol ||Y||_F) / (1 + tol) for every
-    Y in the subspace.  T_list must hold k matrices of shape n x n; the check
-    is deterministic, and seed is accepted for the shared check signature.
+    Y in the subspace.  T_list must hold k matrices of shape n x n (k resolved);
+    the check is deterministic, and seed is accepted for the shared signature.
     """
     tol = tolerance(tol)
     a = matrix_in(a, subspace)
-    if len(cert.T_list) != k or any(np.shape(t) != a.shape[1:] * 2 for t in cert.T_list):
-        raise InvalidInputError("a certificate holds k = %d matrices of shape %r" % (k, a.shape[1:] * 2))
     desc = descriptor(a, p, k)  # one SVD serves sigma, ||a|| and the prefactor
     if desc.at_zero:
         raise InvalidInputError("density certificates need A != 0")
+    if len(cert.T_list) != desc.k or any(np.shape(t) != a.shape[1:] * 2 for t in cert.T_list):
+        raise InvalidInputError("a certificate holds k = %d matrices of shape %r" % (desc.k, a.shape[1:] * 2))
     ts = np.array(cert.T_list)
     w = np.linalg.eigvalsh((ts + ts.conj().transpose(0, 2, 1)) / 2.0)
     tr = np.trace(ts, axis1=1, axis2=2)

@@ -14,15 +14,16 @@ weak Wolfe line search, which also steps across kinks (Lewis & Overton 2013),
 stops at the first bracket certify_best can certify (Hoelder), else its end
 point gets the lower bound (Hoelder, or the face bound at a kink).  A sigma_1
 optimum is generically a kink, which BFGS creeps toward and never settles on;
-so for the sigma_1 norms BFGS hands its first iterate with sigma_2 tied to
-sigma_1 within KINK_TOL to Newton steps for the multiple eigenvalue (Overton
-1988), which land on the kink, and the face bound closes there.  If they miss,
-BFGS resumes once from their best point.  Only while the bracket stays open
-(kinks the Newton step misses, and kinks of p < 2, which have no face bound)
-do the budgets act: lockstep multi-start Polyak-step subgradient descent with
-one stacked SVD per step, the polish of the best finals, Nelder-Mead and, for
-dimension <= GRID_DIM_LIMIT, a batched grid pass.  Nelder-Mead is the one use
-of scipy, imported where it runs, so importing kyfan does not load it.
+so for the sigma_1 norms, which all resolve to (2, 1), BFGS hands its first
+iterate with sigma_2 tied to sigma_1 within KINK_TOL to Newton steps for the
+multiple eigenvalue (Overton 1988), which land on the kink, and the face bound
+closes there.  If they miss, BFGS resumes once from their best point.  Only
+while the bracket stays open (kinks the Newton step misses, and kinks of p < 2
+at k >= 2, which have no face bound) do the budgets act: lockstep multi-start
+Polyak-step subgradient descent with one stacked SVD per step, the polish of
+the best finals, Nelder-Mead and, for dimension <= GRID_DIM_LIMIT, a batched
+grid pass.  Nelder-Mead is the one use of scipy, imported where it runs, so
+importing kyfan does not load it.
 """
 
 from __future__ import annotations
@@ -79,10 +80,7 @@ class Objective:
         self.a = np.asarray(a, dtype=complex)
         self.subspace = subspace
         self.spec = spec
-        self.p, self.k = spec.resolve(min(a.shape))
-        # p = None means the norm reduces to sigma_1, whose extreme subgradients
-        # are those of the (2, 1) norm
-        self.p_eff, self.k_eff = (2.0, 1) if self.p is None else (self.p, self.k)
+        self.p, self.k = spec.resolve(min(a.shape))  # (2, 1) for every sigma_1 norm
         self.rows = subspace.rows
         self._rows_h = self.rows.conj().T
         self.a_x = subspace.real_coordinates(self.a)  # coordinates of P_S A
@@ -119,7 +117,7 @@ class Objective:
         u, s, vh = np.linalg.svd(self.residual(x), full_matrices=False)
         self.sigma = s
         f = _sigma_norm(s, self.p, self.k)
-        g = self.pullback(extreme_subgradient(u, s, vh, f, self.p_eff, self.k_eff))
+        g = self.pullback(extreme_subgradient(u, s, vh, f, self.p, self.k))
         return (float(f), g) if np.ndim(x) == 1 else (f, g)
 
     def lower_bound(self, x, f, g):
@@ -141,12 +139,12 @@ class Objective:
         ||P_S G||, so it would close earlier, but then at points that
         certify_best cannot certify.  The search itself is certify_best's
         (FACE_ITER oracle calls).  The face is described for p >= 2 only, so
-        below that the bound is Hoelder's.
+        below that the bound is Hoelder's; a sigma_1 norm resolves to p = 2.
         """
         low = self.hoelder(x, f, g)
-        if closes(f, low) or self.p_eff < 2:
+        if closes(f, low) or self.p < 2:
             return low, "hoelder"
-        desc = descriptor(self.residual(x), self.p_eff, self.k_eff)
+        desc = descriptor(self.residual(x), self.p, self.k)
         tol = self.face_tol(f)
         face = face_min_norm(desc, self.rows, tol=tol, max_iter=FACE_ITER)
         gx = self.subspace.real_coordinates(face.g)  # coordinates of P_S G
@@ -180,7 +178,7 @@ class Objective:
         multiplier, u its coordinates in an orthonormal basis.  mult carries it
         between calls as Q_1 U Q_1*, so that it follows the eigenvectors; W
         takes its compression to the new Q_1, rescaled to trace 1, or I / t when
-        there is none.  Only valid for k_eff = 1.  Returns (d, new mult, t).
+        there is none.  Only valid for k = 1.  Returns (d, new mult, t).
         """
         r = self.residual(x)
         m, n = r.shape
@@ -300,8 +298,8 @@ def polish(obj, x0):
     """Local refinement of the Objective obj from x0: bfgs, then Nelder-Mead on obj.value.
 
     bfgs stops at the first iterate whose bracket closes certifiably; else the
-    bracket is checked at its final point and, for k_eff = 1, after each
-    accepted kink Newton step.  For k_eff = 1 bfgs also stops at its first
+    bracket is checked at its final point and, for k = 1, after each
+    accepted kink Newton step.  For k = 1 bfgs also stops at its first
     iterate with sigma_2 >= sigma_1 (1 - KINK_TOL) and hands it to
     kink_newton.  If kink_newton does not close the bracket, bfgs resumes once
     from its best point without the hand-off and the path above runs to its
@@ -310,12 +308,12 @@ def polish(obj, x0):
     obj.lower_bound's (lower, kind) once closed, else None after Nelder-Mead.
     """
     x = np.asarray(x0, dtype=float).copy()
-    for handoff in (obj.k_eff == 1, False):
+    for handoff in (obj.k == 1, False):
         x, f, g, tied = bfgs(obj, x, handoff)
         bracket = obj.lower_bound(x, f, g)
         if closes(f, bracket[0]):
             return x, f, bracket
-        if obj.k_eff == 1:
+        if obj.k == 1:
             x, f, bracket = kink_newton(obj, x, f)
             if bracket is not None:
                 return x, f, bracket

@@ -1,4 +1,6 @@
-"""Subdifferential of the Ky Fan (p,k) norm, p >= 2.
+"""Subdifferential of the Ky Fan (p,k) norm, for p >= 2 and every norm that is
+sigma_1 (k = 1 at any p, or a matrix with one singular value), which takes
+the (2, 1) subdifferential (NormSpec.resolve).
 
 For A != 0 the subdifferential is the convex hull of
 
@@ -65,34 +67,27 @@ class SubdiffDescriptor:
 
 
 def subdiff_pk(spec, n0):
-    """The (p, k) whose descriptor serves spec on matrices with n0 singular values.
-
-    A norm that resolves to its spectral limit (the spectral norm, or p beyond
-    norms.P_CAP) is sigma_1, the (2, 1) norm; p < 2 raises UnsupportedError.
-    """
+    """spec.resolve(n0), where every sigma_1 norm is (2, 1); p < 2 then raises
+    UnsupportedError, as the descriptor below needs p >= 2."""
     p, k = spec.resolve(n0)
-    if p is None:
-        return 2.0, 1
     if p < 2:
-        raise UnsupportedError("subdifferential operations need p >= 2 (or the spectral norm)")
+        raise UnsupportedError("subdifferential operations need p >= 2 or a norm that is "
+                               "sigma_1, got p = %g, k = %d" % (p, k))
     return p, k
 
 
 def descriptor(a, p, k):
     """Structural description of the subdifferential of ||.||_(p,k) at a.
 
-    p < 2 raises UnsupportedError (the extreme-point family below needs p >= 2).
-    One SVD serves the norm value and the structure; singular values group
-    into blocks at core.BLOCK_TOL.
+    It keeps the pair subdiff_pk resolves.  One SVD serves the norm value and
+    the structure; singular values group into blocks at core.BLOCK_TOL.
     """
     a = as_matrix(a)
-    if not np.isfinite(p) or p < 2:
-        raise UnsupportedError("subdifferential descriptors need 2 <= p < inf, got %r" % (p,))
     n0 = min(a.shape)
-    p_norm, k_norm = NormSpec.kyfan(p, k).resolve(n0)  # k out of range raises here
+    p, k = subdiff_pk(NormSpec.kyfan(p, k), n0)  # an invalid (p, k) raises here
 
     u, s_raw, vh = np.linalg.svd(a, full_matrices=True)
-    nrm = float(_sigma_norm(s_raw, p_norm, k_norm))
+    nrm = float(_sigma_norm(s_raw, p, k))
     if nrm == 0.0:
         return SubdiffDescriptor(
             p=p, k=k, norm_value=0.0, sigma=s_raw, prefactor=None, blocks=None,

@@ -496,6 +496,13 @@ def test_pk_check_zero_dim_subspace():
     assert rep.applicable and rep.passed and rep.max_deviation == 0.0
 
 
+def test_pk_check_p_below_two_unsupported():
+    # the guard runs before the solve, so a subspace without freedom raises too
+    for sub in (MatrixSubspace([], field="complex", shape=(3, 3)), SPAN_I3):
+        with pytest.raises(UnsupportedError):
+            pk_singular_value_check(np.diag([3.0, 2.0, 1.0]), sub, p=1.5, k=2)
+
+
 def test_pk_check_gap_unmet_not_applicable():
     # pinching makes alpha = 0 optimal, so the residual keeps sigma = (1,1,1)
     e12 = np.zeros((3, 3))
@@ -504,6 +511,18 @@ def test_pk_check_gap_unmet_not_applicable():
                                   p=2, k=2, seed=0)
     assert not rep.applicable
     assert rep.passed
+
+
+def test_pk_check_beyond_p_cap_checks_sigma_1():
+    # p = 1e7 lies beyond norms.P_CAP, so the norm is sigma_1 and resolves to
+    # (2, 1): the check reads k = 1, the one value its certificate pins
+    rng = np.random.default_rng(3)
+    for t in range(3):
+        a = rand_complex(rng, 4, 4)
+        sub = MatrixSubspace([rand_complex(rng, 4, 4)], field="complex")
+        rep = pk_singular_value_check(a, sub, p=1e7, k=2)
+        assert rep.applicable and rep.certified and rep.passed, t
+        assert rep.pinned.size == 1 and abs(rep.pinned[0] - rep.sigma[0]) <= 1e-7 * rep.sigma[0], t
 
 
 def test_certify_best_certifies_every_kink_solve(rng):

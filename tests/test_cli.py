@@ -195,6 +195,28 @@ def test_spectral_limit_norm_uses_the_2_1_subdifferential(capsys, files):
     assert outs[0] == outs[1] and json.loads(outs[0])["orthogonal"] is True
 
 
+def test_kyfan_p1_k1_runs_every_command_as_the_spectral_norm(capsys, files):
+    # kyfan(1, 1) is sigma_1: every command resolves it to (2, 1), and prints
+    # what the spectral norm prints
+    for argv in (["subdiff"], ["dirderiv", "--direction", files["x011"]],
+                 ["ortho", "bj", "--other", files["x011"]],
+                 ["ortho", "eps", "--other", files["x011"], "--eps", "0.1"],
+                 ["ortho", "parallel", "--other", files["x011"]],
+                 ["ortho", "subspace", "--subspace", files["sub_x"]],
+                 ["approx", "--certify", "--subspace", files["sub_x"], "--starts", "4"]):
+        outs = []
+        for spec in ("kyfan:p=1,k=1", "spectral"):
+            code, out, err = run(capsys, *argv, "--matrix", files["a3"], "--norm", spec)
+            assert code == 0, (argv, spec, err)
+            outs.append(out)
+        assert outs[0] == outs[1], argv
+        payload = json.loads(outs[0])
+        if argv[0] == "subdiff":
+            assert payload["p"] == 2.0 and payload["k"] == 1
+        if argv[:2] == ["ortho", "subspace"]:
+            assert payload["verified"] is True
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
                          ids=["nan", "inf", "-inf", "int1e400"])
 @pytest.mark.parametrize("command", [["norm"], ["dual"], ["ortho", "bj"]],

@@ -248,6 +248,17 @@ def test_subspace_validation_is_scale_free(rng):
             assert np.max(np.abs(sub.onb - want.onb)) <= 1e-14, (t, c)
 
 
+def test_subspace_rejects_a_non_finite_basis():
+    for bad in (np.inf, -np.inf, np.nan):
+        for basis in ([np.diag([bad, bad])], [np.eye(2), np.diag([1.0, bad])],
+                      [np.diag([1.0, complex(0.0, bad)])]):
+            with pytest.raises(InvalidInputError, match="finite"):
+                MatrixSubspace(basis, field="complex")
+    # a huge finite basis is still accepted (the validation is scale-free)
+    sub = MatrixSubspace([1e300 * np.eye(2)], field="complex")
+    assert sub.dim == 1 and np.allclose(sub.onb[0], np.eye(2) / np.sqrt(2.0))
+
+
 def test_empty_subspace_with_shape():
     sub = MatrixSubspace([], field="complex", shape=(2, 2))
     assert sub.dim == 0

@@ -104,7 +104,11 @@ def test_resolve_and_label():
     assert spec.label() == "kyfan:p=3,k=2"
     assert NormSpec.schatten(4).resolve(3) == (4.0, 3)
     assert NormSpec.schatten(4).label() == "schatten:p=4"
-    assert NormSpec.spectral().resolve(5) == (None, 1)
+    assert NormSpec.spectral().resolve(5) == (2.0, 1)
+    # every norm that is sigma_1 resolves to the one pair (2, 1)
+    for spec, n0 in [(NormSpec.kyfan(1, 1), 3), (NormSpec.kyfan(7, 1), 3),
+                     (NormSpec.trace(), 1), (NormSpec.kyfan(1e7, 2), 3)]:
+        assert spec.resolve(n0) == (2.0, 1), spec
     assert NormSpec.spectral().label() == "spectral"
 
 

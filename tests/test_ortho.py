@@ -501,17 +501,21 @@ def test_verify_certificate_is_the_conjunction_of_the_proof_checks(rng):
 
 
 def test_verify_certificate_checks_the_pairing():
-    # T_1 on sigma_2's eigenvector at a loose tol: every other check passes and
-    # G = diag(0, 0.64) is orthogonal to E11, yet ||a - E11|| = 0.8 < ||a|| = 1
-    a = np.diag([1.0, 0.8])
-    sub = MatrixSubspace([np.diag([1.0, 0.0])])
-    cert = subspace_certificate(a, sub, p=3, k=1)
+    # kyfan(2, 2) at a = diag(0.5, 0.4, 0.3), f = sqrt(0.41), with T_2 on sigma_3's
+    # eigenvector at tol 0.08: residual_eig = 0.16 - 0.09 passes, and so does every
+    # other check, as G = diag(0.5, 0, 0.3) / f is orthogonal to E22; but the
+    # pairing 0.34 / f falls 0.07 / f > tol short of f, and rightly so:
+    # ||a - 0.4 E22|| = sqrt(0.34) < f
+    a = np.diag([0.5, 0.4, 0.3])
+    sub = MatrixSubspace([np.diag([0.0, 1.0, 0.0])])
+    cert = subspace_certificate(a, sub, p=2, k=2)
     wrong = type(cert)(**{**cert.__dict__})
-    wrong.T_list = [np.diag([0.0, 1.0]).astype(complex)]
-    ok, report = verify_certificate(a, sub, 3, 1, wrong, tol=0.4)
-    assert not ok and abs(report["pairing"] - 0.8 ** 3) <= 1e-12
-    assert report["psd_ok"] and report["trace_ok"] and report["residual_eig"] <= 0.4
+    wrong.T_list = [np.diag(t).astype(complex) for t in ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])]
+    ok, report = verify_certificate(a, sub, 2, 2, wrong, tol=0.08)
+    assert not ok and abs(report["pairing"] - 0.34 / np.sqrt(0.41)) <= 1e-12
+    assert report["psd_ok"] and report["trace_ok"] and report["residual_eig"] <= 0.08
     assert report["residual_perp"] <= 1e-15 and report["dual_norm_bound"] <= 1.0
+    assert norm(a - np.diag([0.0, 0.4, 0.0]), NormSpec.kyfan(2, 2)) < np.sqrt(0.41)
 
 
 def test_verify_certificate_rejects_a_malformed_t_list():

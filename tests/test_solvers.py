@@ -33,7 +33,7 @@ SPECTRA = [None, [3.0, 2.0, 2.0, 2.0], [2.0, 1.0, 0.0, 0.0]]
 
 def oracle_grad(obj, r):
     """Pull-back of canonical_extreme(descriptor(r)), one basis matrix at a time."""
-    desc = descriptor(r, obj.p_eff, obj.k_eff)
+    desc = descriptor(r, obj.p, obj.k)
     out = []
     for e in obj.subspace.onb:
         pair = 0.0 if desc.at_zero else complex(np.trace(canonical_extreme(desc).conj().T @ e))
@@ -77,7 +77,7 @@ def test_fused_gradient_at_zero_and_below_p2(rng):
             f, g = obj.value_and_grad(x)
             r = obj.residual(x)
             assert abs(f - norm(r, spec)) <= 1e-12 * f
-            p, k = obj.p_eff, obj.k_eff
+            p, k = obj.p, obj.k
             u, s, vh = np.linalg.svd(r)
             g_mat = (u[:, :k] * (s[:k] / f) ** (p - 1.0)) @ vh[:k]
             assert np.linalg.norm(g - obj.pullback(g_mat)) <= 1e-12 * np.linalg.norm(g), spec
@@ -97,7 +97,7 @@ def test_fused_gradient_bit_identical_to_closed_form(rng):
                 f, g = obj.value_and_grad(pts)
                 u, s, vh = np.linalg.svd(obj.residual(pts), full_matrices=False)
                 want_f = _sigma_norm(s, obj.p, obj.k)
-                p, k = obj.p_eff, obj.k_eff
+                p, k = obj.p, obj.k
                 ratio = s[..., :k] / np.where(want_f > 0, want_f, 1.0)[..., None]
                 want_g = obj.pullback((u[..., :k] * ratio[..., None, :] ** (p - 1.0)) @ vh[..., :k, :])
                 assert np.array_equal(f, want_f) and np.array_equal(g, want_g), spec

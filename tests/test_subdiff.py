@@ -64,7 +64,7 @@ def test_descriptor_at_zero():
 
 def test_descriptor_rejects_small_p():
     with pytest.raises(UnsupportedError):
-        descriptor(np.eye(2), p=1.5, k=1)
+        descriptor(np.eye(2), p=1.5, k=2)
     with pytest.raises(InvalidInputError):
         descriptor(np.eye(2), p=2, k=3)
 
