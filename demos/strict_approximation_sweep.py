@@ -12,6 +12,7 @@ from kyfan.core import MatrixSubspace
 from kyfan.approx import best_approx, certify_best, strict_spectral
 from kyfan.lab import convergence_checks, counterexample_run, default_p_grid, p_sweep
 from kyfan.norms import NormSpec
+from kyfan.ortho import verify_certificate
 
 
 def main():
@@ -36,9 +37,10 @@ def main():
     # a certified best approximation at one p
     res = best_approx(a, sub, NormSpec.kyfan(2, 2), starts=10, seed=0)
     cert = certify_best(a, sub, NormSpec.kyfan(2, 2), res)
+    verified = verify_certificate(res.residual, sub, 2, 2, cert, tol=1e-7)[0]
     print("\nbest (2,2) approximation: value %.6f, certificate found = %s "
-          "(residual %.2e, %d atoms)"
-          % (res.value, cert.found, cert.residual_perp, cert.atoms_used))
+          "(residual %.2e, %d atoms), verified = %s"
+          % (res.value, cert.feasible, cert.residual_perp, cert.atoms_used, verified))
 
     print("\ncounterexample instance A = diag(1/2, 2, 0), M = span{diag(0,1,1)}:")
     rep = counterexample_run(p_list=(2.0, 4.0, 8.0, 16.0), starts=8)

@@ -7,7 +7,6 @@ spectral approximants, and a p-sweep experiment harness.
 
 from .approx import (
     ApproximationResult,
-    CertificateResult,
     PkCheckReport,
     StrictApproxResult,
     UniquenessProbe,
@@ -57,7 +56,6 @@ from .subdiff import (
 __all__ = [
     "ApproximationResult",
     "BjResult",
-    "CertificateResult",
     "ConvergenceReport",
     "CounterexampleReport",
     "DensityCertificate",

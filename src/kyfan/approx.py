@@ -2,9 +2,11 @@
 strict spectral approximant.
 
 best_approx minimizes ||A - Y|| over Y in the subspace for any supported norm;
-certify_best searches the subdifferential at the residual for an element
-orthogonal to the subspace (zero projection), which is the exact first-order
-optimality certificate for a convex problem; pin_map turns it into linear
+Y is best exactly when A - Y is BJ-orthogonal to the subspace, so
+certify_best is ortho.subspace_certificate at the residual: a subgradient G
+orthogonal to the subspace, made of density matrices that
+ortho.verify_certificate re-checks, is the exact first-order optimality
+certificate of the convex problem; pin_map turns it into linear
 equations every minimizer satisfies, which decide uniqueness
 (unique_1d_probe) and the shared top singular values
 (pk_singular_value_check).  strict_spectral builds the
@@ -23,8 +25,9 @@ import numpy as np
 from .core import MatrixSubspace, matrix_in, matrix_pair, negligible, spectrum_blocks, tolerance
 from .errors import InvalidInputError
 from .norms import NormSpec, norm
+from .ortho import DensityCertificate, subspace_certificate
 from .solvers import CERT_TOL, FACE_ITER, GAP_TOL, Objective, multistart_minimize
-from .subdiff import descriptor, face_min_norm, subdiff_pk
+from .subdiff import subdiff_pk
 
 
 @dataclass
@@ -38,7 +41,6 @@ class ApproximationResult:
     converged: bool
     trace: dict
     flags: list
-    certificate: np.ndarray | None = None
 
 
 def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=None):
@@ -75,53 +77,29 @@ def best_approx(a, subspace, spec, starts=50, iters=150, seed=0, extra_coeffs=No
                                converged=out.converged, trace=trace, flags=flags)
 
 
-@dataclass
-class CertificateResult:
-    found: bool
-    f_matrix: np.ndarray | None
-    residual_perp: float
-    weights: np.ndarray
-    atoms_used: int
-    pairing: float
-    singleton: bool
-    residual_lower: float     # no subgradient at R reaches below it
-
-
 def certify_best(a, subspace, spec, result, cert_tol=CERT_TOL, seed=0):
-    """Search the subdifferential at R = A - Y for an element with zero
-    projection onto the subspace.
+    """The density certificate of R = A - Y against the subspace.
 
-    Finding one proves Y is a global minimizer (convexity); residual_perp is
-    the projection norm actually reached, and residual_lower > cert_tol proves
-    that none exists.  The search is face_min_norm at R with FACE_ITER oracle
-    calls, the budget of the solvers' face bound; weights are the convex
-    weights of its atoms_used extreme points.
-    result may be an ApproximationResult (the certificate is attached on
-    success) or a matrix Y.  The search is deterministic; seed is accepted
-    for compatibility.
+    result may be an ApproximationResult or a matrix Y.  R is BJ-orthogonal
+    to the subspace exactly when Y is a global minimizer (convexity), so this
+    is subspace_certificate(R, subspace, p, k) with the resolved (p, k), tol
+    cert_tol and FACE_ITER oracle calls, the budget of the solvers' face
+    bound: feasible proves Y best, residual_perp is the projection norm
+    reached and residual_lower > cert_tol proves that no certificate exists.
+    A zero residual (core.negligible) is certified without a search and
+    without matrices.  The search is deterministic; seed is accepted for
+    compatibility.
     """
     cert_tol = tolerance(cert_tol, "cert_tol")
-    attach = result if isinstance(result, ApproximationResult) else None
-    a, y = matrix_pair(matrix_in(a, subspace), attach.y if attach is not None else result)
+    a = matrix_in(a, subspace)
+    a, y = matrix_pair(a, result.y if isinstance(result, ApproximationResult) else result)
     r = a - y
-    n0 = min(a.shape)
-    p, k = subdiff_pk(spec, n0)
-    if not subspace.dim:
-        return CertificateResult(True, None, 0.0, np.zeros(0), 0, norm(r, spec), True, 0.0)
+    p, k = subdiff_pk(spec, min(a.shape))  # p < 2 raises also at a zero residual
     if negligible(r, a):
         # zero residual up to round-off: Y = A attains the smallest conceivable value
-        return CertificateResult(True, None, 0.0, np.zeros(0), 0, 0.0, True, 0.0)
-
-    desc = descriptor(r, p, k)
-    face = face_min_norm(desc, subspace.rows, tol=cert_tol, max_iter=FACE_ITER)
-    pairing = float(np.real(np.vdot(face.g, r)))
-    out = CertificateResult(found=face.residual <= cert_tol, f_matrix=face.g,
-                            residual_perp=face.residual, weights=face.weights,
-                            atoms_used=len(face.atoms), pairing=pairing,
-                            singleton=desc.singleton, residual_lower=face.lower)
-    if attach is not None and out.found:
-        attach.certificate = face.g
-    return out
+        return DensityCertificate(feasible=True, T_list=[], residual_perp=0.0, iterations=0,
+                                  residual_lower=0.0, f_matrix=None, atoms_used=0)
+    return subspace_certificate(r, subspace, p, k, tol=cert_tol, max_iter=FACE_ITER)
 
 
 # singular values of G below RANK_TOL of the largest are dropped
@@ -153,7 +131,7 @@ def pin_map(res, subspace, cert):
     """
     r = res.residual
     m, n = r.shape
-    if not cert.found:
+    if not cert.feasible:
         u, v, values = np.zeros((m, 0)), np.zeros((n, 0)), np.zeros(0)
     elif cert.f_matrix is None:
         u, v, values = np.eye(m), np.eye(n), np.zeros(min(m, n))
@@ -230,7 +208,7 @@ def unique_1d_probe(a, x, p, k, trials=12, seed=0):
     spread = float(np.max(np.linalg.norm(ends[:, None] - ends[None], axis=-1)))
     return UniquenessProbe(unique_predicted=predicted, rank_x=rank_x, spread=spread,
                            violation=bool(predicted and spread > 1e-5),
-                           best_value=float(res.value), certified=bool(cert.found),
+                           best_value=float(res.value), certified=bool(cert.feasible),
                            null_dim=free, null_sigma=pins.least)
 
 
@@ -301,7 +279,7 @@ def strict_spectral(a, subspace, starts=12, iters=150, seed=0):
             pins.append((min(cur.shape), 0.0, res.converged, 0.0))
             break
         cert = certify_best(cur, sub, spectral, res)
-        if not cert.found:
+        if not cert.feasible:
             # nothing proven to deflate on: the rest stays as this point leaves it
             pins.append((min(cur.shape), None, False, cert.residual_perp))
             break
@@ -396,7 +374,7 @@ def pk_singular_value_check(a, subspace, p, k, gap_tol=1e-6, seed=0, starts=10, 
     else:
         res = best_approx(a, subspace, spec, starts=starts, iters=iters, seed=seed)
         cert = certify_best(a, subspace, spec, res)
-        s, value, certified = res.sigma, res.value, cert.found
+        s, value, certified = res.sigma, res.value, cert.feasible
         pinned = np.sort(pin_map(res, subspace, cert).values)[::-1][:k]
     applicable = bool(s[k - 1] > (s[k] if k < s.size else 0.0) + gap_tol)
     dev = float(np.max(np.abs(s[:pinned.size] - pinned), initial=0.0))

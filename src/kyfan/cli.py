@@ -327,11 +327,17 @@ def _cmd_approx(args):
     if args.certify:
         cert = certify_best(a, sub, spec, res, cert_tol=args.cert_tol,
                             seed=args.seed)
+        if cert.f_matrix is None:
+            verified = None  # a zero residual: certified without matrices
+        else:
+            p, k = subdiff_pk(spec, min(a.shape))
+            verified = verify_certificate(res.residual, sub, p, k, cert, tol=args.cert_tol)[0]
         payload["certificate"] = {
-            "found": cert.found,
+            "found": cert.feasible,
             "residual_perp": cert.residual_perp,
             "f": None if cert.f_matrix is None else matrix_json(cert.f_matrix),
             "atoms_used": cert.atoms_used,
+            "verified": verified,
         }
     _emit(payload, args)
     return 3 if res.flags else 0

@@ -29,7 +29,9 @@ trace-one T_i supported in the sigma_i^2 eigenspaces of A*A such that
 prefactor * sum T_i lies in the orthogonal complement of the subspace.  They
 come from the same face routine: rank-one eigenprojectors on the full
 eigenspace blocks and Q / r for each index of the block straddling k, with Q
-in the fantope {0 <= Q <= I, tr Q = r} nearest to the complement.
+in the fantope {0 <= Q <= I, tr Q = r} nearest to the complement.  At a
+residual A - Y the same certificate proves Y a best approximation from the
+subspace (approx.certify_best), and verify_certificate re-checks both.
 """
 
 from __future__ import annotations
@@ -299,6 +301,13 @@ class DensityCertificate:
     residual_perp: float      # ||P_S G||_F at the search's last point
     iterations: int
     residual_lower: float     # no certificate reaches below it: > tol proves infeasibility
+    f_matrix: np.ndarray | None  # G = prefactor sum_i T_i; None at certify_best's zero residual
+    atoms_used: int           # fantope atoms of the search's last point
+
+    @property
+    def found(self):
+        # read-only alias of feasible, kept only for perfbench/workloads.py, which reads it
+        return self.feasible
 
 
 def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
@@ -311,7 +320,8 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
     the full blocks and Q / r for each index of the boundary block.  The
     certificate carries the search's evidence only: feasible when its residual
     ||P_S G||_F is <= tol, and residual_lower > tol proves that no certificate
-    exists.  verify_certificate re-checks the T_i from scratch.
+    exists; f_matrix is the G it reached and atoms_used the fantope atoms
+    that make it.  verify_certificate re-checks the T_i from scratch.
     """
     tol = tolerance(tol)
     a = matrix_in(a, subspace)
@@ -323,16 +333,18 @@ def subspace_certificate(a, subspace, p, k, tol=1e-9, max_iter=5000):
         t_list += [zb @ face.q @ zb.conj().T / r] * r
     return DensityCertificate(feasible=face.residual <= tol, T_list=t_list,
                               residual_perp=face.residual, iterations=face.iterations,
-                              residual_lower=face.lower)
+                              residual_lower=face.lower, f_matrix=face.g,
+                              atoms_used=len(face.atoms))
 
 
 def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
     """Re-check a density certificate from scratch; returns (ok, report).
 
     With G = prefactor sum_i T_i, ok requires each T_i PSD with unit trace
-    (psd_ok, trace_ok), residual_eig (the largest ||A*A T_i - sigma_i^2 T_i||_F)
-    and residual_perp (||P_S G||_F) <= tol, dual_norm_bound (of G) <= 1 + tol
-    and pairing Re tr(G* a) >= ||a|| - tol max(1, ||a||).  By Hoelder, ok proves
+    (psd_ok, trace_ok), residual_eig (the largest ||A*A T_i - sigma_i^2 T_i||_F,
+    in the units of sigma^2) <= tol max(1, sigma_1^2), residual_perp
+    (||P_S G||_F) <= tol, dual_norm_bound (of G) <= 1 + tol and pairing
+    Re tr(G* a) >= ||a|| - tol max(1, ||a||).  By Hoelder, ok proves
     ||a + Y|| >= (||a|| - tol max(1, ||a||) - tol ||Y||_F) / (1 + tol) for every
     Y in the subspace.  T_list must hold k matrices of shape n x n (k resolved);
     the check is deterministic, and seed is accepted for the shared signature.
@@ -357,7 +369,8 @@ def verify_certificate(a, subspace, p, k, cert, tol=1e-8, seed=0):
         "dual_norm_bound": dual_norm(g, NormSpec.kyfan(desc.p, desc.k)),
         "pairing": float(np.vdot(g, a).real),
     }
-    ok = (report["psd_ok"] and report["trace_ok"] and report["residual_eig"] <= tol
+    s1 = max(1.0, float(desc.sigma[0]))  # divided twice: an overflowing residual_eig fails
+    ok = (report["psd_ok"] and report["trace_ok"] and report["residual_eig"] / s1 / s1 <= tol
           and report["residual_perp"] <= tol and report["dual_norm_bound"] <= 1.0 + tol
           and report["pairing"] >= desc.norm_value - tol * max(1.0, desc.norm_value))
     return ok, report

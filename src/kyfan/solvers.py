@@ -39,11 +39,11 @@ from .subdiff import descriptor, face_min_norm
 # default bound on ||P_S G||, and polish's BFGS stops only with ||g|| within it
 GAP_TOL = CERT_TOL = 1e-7
 # oracle calls of the face search at a solve's point (face_min_norm): the face
-# bound of Objective.lower_bound and certify_best search with the same budget
+# bound of Objective.lower_bound and certify_best's certificate search with it
 FACE_ITER = 40
 # singular values within KINK_TOL * sigma_1 count as tied: polish hands such a
 # point to the kink Newton step, which takes them as one multiple eigenvalue
-# (the face bound groups as certify_best does, at core.BLOCK_TOL)
+# (the face bound groups as the certificate does, at core.BLOCK_TOL)
 KINK_TOL = 1e-4
 # the grid pass runs on subspaces of dimension <= GRID_DIM_LIMIT, with (points
 # per axis, levels) GRID_FINE on at most 2 real coordinates, else GRID_COARSE
@@ -131,15 +131,16 @@ class Objective:
         at the residual, with the least ||P_S G|| (face_min_norm), and the exact
         dual norm of F.  At a kink optimum the extreme G misses the orthogonal
         complement and this G meets it.  The face groups singular values at
-        core.BLOCK_TOL, as certify_best's does: grouped more widely, values
+        core.BLOCK_TOL, as the certificate's does: grouped more widely, values
         split by more than that count as tied, and the bound closes at points
         near a kink that certify_best cannot certify.  The
         face bound counts only when ||P_S G|| <= face_tol(f), which moves it by
         at most GAP_TOL (1 + f) / 2.  It is tight to second order in
         ||P_S G||, so it would close earlier, but then at points that
-        certify_best cannot certify.  The search itself is certify_best's
-        (FACE_ITER oracle calls).  The face is described for p >= 2 only, so
-        below that the bound is Hoelder's; a sigma_1 norm resolves to p = 2.
+        certify_best cannot certify.  The search itself is the certificate's
+        (subspace_certificate at the residual, FACE_ITER oracle calls).  The
+        face is described for p >= 2 only, so below that the bound is
+        Hoelder's; a sigma_1 norm resolves to p = 2.
         """
         low = self.hoelder(x, f, g)
         if closes(f, low) or self.p < 2:

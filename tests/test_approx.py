@@ -13,6 +13,9 @@ from kyfan.core import MatrixSubspace
 from kyfan.errors import InvalidInputError, UnsupportedError
 from kyfan.lab import counterexample_instance
 from kyfan.norms import NormSpec, norm
+from kyfan.ortho import verify_certificate
+from kyfan.solvers import CERT_TOL, FACE_ITER
+from kyfan.subdiff import descriptor, face_min_norm
 
 from conftest import lambda_min_norm, rand_complex
 from helpers import repetition_probe, uniqueness_instances
@@ -133,14 +136,14 @@ def test_best_approx_nested_basis_monotone(rng):
 def test_certify_frobenius_residual_direction():
     res = best_approx(A31, SPAN_I3, NormSpec.schatten(2), starts=8, seed=0)
     cert = certify_best(A31, SPAN_I3, NormSpec.schatten(2), res)
-    assert cert.found and cert.singleton
+    assert cert.found and descriptor(res.residual, 2, 3).singleton
     r = A31 - (4.0 / 3.0) * np.eye(3)
     f_want = r / np.linalg.norm(r)
     assert np.max(np.abs(cert.f_matrix - f_want)) <= 1e-6
     assert abs(np.trace(cert.f_matrix)) <= 1e-7  # zero projection onto span{I}
     assert cert.residual_perp <= 1e-7
-    assert abs(cert.pairing - res.value) <= 1e-8
-    assert res.certificate is not None
+    ok, report = verify_certificate(res.residual, SPAN_I3, 2, 3, cert, tol=CERT_TOL)
+    assert ok and abs(report["pairing"] - res.value) <= 1e-8
 
 
 def test_certify_member_zero_residual():
@@ -164,7 +167,8 @@ def test_certify_counterexample_kyfan22():
     cert = certify_best(a, sub, NormSpec.kyfan(2, 2), res, cert_tol=1e-8)
     assert cert.found
     assert cert.residual_perp <= 1e-8
-    assert abs(cert.pairing - res.value) <= 1e-6 * (1 + res.value)
+    report = verify_certificate(res.residual, sub, 2, 2, cert, tol=1e-8)[1]
+    assert abs(report["pairing"] - res.value) <= 1e-6 * (1 + res.value)
 
 
 def test_certify_spectral_needs_mixture():
@@ -172,8 +176,12 @@ def test_certify_spectral_needs_mixture():
     # a genuine convex combination of extreme points
     res = best_approx(A31, SPAN_I3, NormSpec.spectral(), starts=8, seed=0)
     cert = certify_best(A31, SPAN_I3, NormSpec.spectral(), res)
-    assert cert.found and not cert.singleton
-    assert cert.atoms_used >= 2 and abs(np.sum(cert.weights) - 1.0) <= 1e-12
+    desc = descriptor(res.residual, 2, 1)
+    assert cert.found and not desc.singleton
+    # the weights are the search's: face_min_norm at the residual, certify_best's budget
+    face = face_min_norm(desc, SPAN_I3.rows, tol=CERT_TOL, max_iter=FACE_ITER)
+    assert len(face.atoms) == cert.atoms_used and np.array_equal(face.g, cert.f_matrix)
+    assert cert.atoms_used >= 2 and abs(np.sum(face.weights) - 1.0) <= 1e-12
     assert 0.0 <= cert.residual_lower <= cert.residual_perp
     assert abs(np.trace(cert.f_matrix)) <= 1e-7
 
@@ -183,6 +191,46 @@ def test_certify_rejects_suboptimal_point():
     assert not cert.found
     assert cert.residual_perp > 1e-3
     assert cert.residual_lower > 1e-7  # a proof that Y = 0 is not optimal
+
+
+def test_certify_tied_top_pair_verifies():
+    # sigma_1 and sigma_2 tie to 9e-9, inside core.BLOCK_TOL, so the search
+    # takes them as one block; the T_i's eigenspace residual 1.44e-7 has the
+    # units of sigma^2 = 16, and is measured against CERT_TOL sigma_1^2
+    a = np.diag([4.0, 4.0 * (1.0 - 9e-9), 1.0])
+    sub = MatrixSubspace([np.diag([1.0, -1.0, 0.0])], field="real")
+    cert = certify_best(a, sub, NormSpec.spectral(), np.zeros((3, 3)))
+    assert cert.found
+    ok, report = verify_certificate(a, sub, 2, 1, cert, tol=CERT_TOL)
+    assert ok and report["residual_eig"] > CERT_TOL, report
+
+
+# (m, n, dim, field, (p, k)) of the benchmark's approx slots: p None is the
+# spectral norm, k None the Schatten p-norm
+APPROX_SLOTS = [
+    (2, 2, 1, "complex", (3.0, None)), (3, 3, 2, "complex", (None, 1)),
+    (4, 4, 1, "real", (4.0, 2)), (5, 5, 3, "complex", (8.0, None)),
+    (6, 6, 4, "real", (64.0, 3)), (4, 4, 4, "complex", (None, 1)),
+    (6, 4, 2, "real", (64.0, None)), (3, 5, 1, "complex", (2.0, 2)),
+    (5, 3, 3, "real", (None, 1)), (2, 3, 2, "real", (16.0, 1)),
+    (4, 6, 2, "complex", (3.0, 3)), (6, 6, 1, "real", (2.0, None)),
+]
+
+
+def test_every_certificate_certify_best_finds_verifies():
+    # every solve of this batch is certified, and each certificate verifies
+    rng = np.random.default_rng(28)
+    for i, (m, n, dim, field, (p, k)) in enumerate(APPROX_SLOTS * 2):
+        a = rand_complex(rng, m, n)
+        sub = MatrixSubspace([rng.standard_normal((m, n)) if field == "real"
+                              else rand_complex(rng, m, n) for _ in range(dim)], field=field)
+        spec = (NormSpec.spectral() if p is None
+                else NormSpec.schatten(p) if k is None else NormSpec.kyfan(p, k))
+        res = best_approx(a, sub, spec, starts=6, seed=i)
+        cert = certify_best(a, sub, spec, res)
+        pr, kr = spec.resolve(min(m, n))
+        ok, report = verify_certificate(res.residual, sub, pr, kr, cert, tol=CERT_TOL)
+        assert cert.found and ok, (i, report)
 
 
 def test_certify_global_spot_check(rng):
@@ -300,7 +348,7 @@ def test_unique_probe_without_certificate_fans_over_the_span(monkeypatch):
 
     def not_found(*args, **kw):
         out = certify(*args, **kw)
-        out.found = False
+        out.feasible = False
         return out
 
     monkeypatch.setattr(approx, "certify_best", not_found)

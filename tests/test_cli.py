@@ -514,6 +514,21 @@ def test_approx_payload_and_certify(capsys, files):
                "--norm", "schatten:p=2", "--certify")[1] == out
 
 
+def test_approx_certify_is_verified(capsys, files):
+    # verified is verify_certificate's verdict at the residual, at --cert-tol;
+    # a zero residual is certified without matrices, so there is nothing to verify
+    for argv, verified in ((["--matrix", files["a3"], "--subspace", files["sub_i3"],
+                             "--norm", "spectral"], True),
+                           (["--matrix", files["a3"], "--subspace", files["sub_i3"],
+                             "--norm", "kyfan:p=3,k=2", "--cert-tol", "1e-8"], True),
+                           (["--matrix", files["eye2"], "--subspace", files["eye2_sub"],
+                             "--norm", "spectral"], None)):
+        code, out, _ = run(capsys, "approx", "--certify", "--starts", "4", *argv)
+        cert = json.loads(out)["certificate"]
+        assert code == 0 and cert["found"] is True and cert["verified"] is verified, argv
+        assert (cert["f"] is None) == (verified is None), argv
+
+
 def test_strict_payload(capsys, files):
     code, out, _ = run(capsys, "strict", "--matrix", files["a3"],
                        "--subspace", files["sub_i3"], "--starts", "8")

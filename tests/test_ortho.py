@@ -487,8 +487,10 @@ def test_verify_certificate_is_the_conjunction_of_the_proof_checks(rng):
                 cert = subspace_certificate(a, sub, p, k)
                 ok, report = verify_certificate(a, sub, p, k, cert)
                 na = norm(a, NormSpec.kyfan(p, k))
+                s1 = np.linalg.norm(a, 2)
                 assert ok == (report["psd_ok"] and report["trace_ok"]
-                              and report["residual_eig"] <= 1e-8 and report["residual_perp"] <= 1e-8
+                              and report["residual_eig"] <= 1e-8 * max(1.0, s1 ** 2)
+                              and report["residual_perp"] <= 1e-8
                               and report["dual_norm_bound"] <= 1.0 + 1e-8
                               and report["pairing"] >= na - 1e-8 * max(1.0, na))
                 gap = sampled_direction_gap(a, sub, p, k, samples=20, seed=dim)
@@ -617,6 +619,20 @@ def test_verdicts_survive_the_symmetries(rng):
                     assert gap <= 1e-10 * c * np.linalg.norm(b), (t, "cB", c)
                 eps0 = check_eps_bj(f(a), c * f(b), p, 2, eps=0.0)
                 assert eps0.satisfied == want.orthogonal, (t, "cB", c)
+
+
+def test_verify_certificate_verdict_is_scale_free(rng):
+    # A = U diag(3, 1, 0.5) V* against b orthogonal to u_1 v_1*: residual_eig
+    # has the units of sigma^2, so its test is relative to sigma_1^2 and the
+    # verdict does not change under A -> sA
+    a = rand_with_sigma(rng, [3.0, 1.0, 0.5])
+    sub = MatrixSubspace([orthogonal_to(rng, canonical_extreme(descriptor(a, 2, 1)))])
+    verdicts = []
+    for s in (1e-3, 1.0, 1e3, 1e5, 1e8):
+        cert = subspace_certificate(s * a, sub, 2, 1)
+        assert cert.feasible, s
+        verdicts.append(verify_certificate(s * a, sub, 2, 1, cert)[0])
+    assert verdicts == [True] * 5, verdicts
 
 
 def test_verify_rejects_tampered_certificates():
